@@ -3,16 +3,12 @@
 //! One IR, every consumer: a [`drfrlx_core::program::Program`] written
 //! once can be checked axiomatically, enumerated by the streaming SC
 //! checker, parsed/emitted as litmus text, *and* — through this crate —
-//! executed on the `hsim-gpu` cycle simulator. The lowering that used
-//! to live privately inside the conformance harness
-//! (`drfrlx-conform::compile`) is promoted here and generalized from
-//! "one single-thread block per litmus thread" to a parametric grid:
-//! a `Program` whose threads are laid out block-major over a
-//! `blocks × threads_per_block` grid, with an explicit location→address
-//! map so kernels can pad locations to cache lines, and support for
-//! the full instruction set including the block-level constructs
-//! ([`Instr::Think`], [`Instr::Barrier`], [`Instr::ScratchLoad`],
-//! [`Instr::ScratchStore`]).
+//! executed on the `hsim-gpu` cycle simulator. A `Program` is laid out
+//! block-major over a `blocks × threads_per_block` grid, with an
+//! explicit location→address map so kernels can pad locations to cache
+//! lines, and the full instruction set is supported, including the
+//! block-level constructs ([`Instr::Think`], [`Instr::Barrier`],
+//! [`Instr::ScratchLoad`], [`Instr::ScratchStore`]).
 //!
 //! Two lowering modes:
 //!
@@ -27,6 +23,19 @@
 //!   observation dumps, and `use_result` computed by register liveness
 //!   (an RMW whose destination is never read issues fire-and-forget,
 //!   exactly like hand-written work items pass `use_result: false`).
+//!
+//! ## Compiled form
+//!
+//! Both modes compile each distinct thread body once into a
+//! [`ThreadCode`]: a flat array of `Copy` micro-ops with every location
+//! already resolved to its word address. An operand is a register, an
+//! `i32` immediate, or a slice of the thread's postfix expression pool
+//! (compound expressions and wider constants). Marker instructions
+//! (`BranchOn`, `Observe`) have no dynamic effect and compile to
+//! nothing; `JumpIfZero` skip counts become absolute micro-op targets.
+//! A [`ProgramItem`] runs one compiled thread over a zero-initialized
+//! `i64` register file — a register never written reads as 0, exactly
+//! as in the axiomatic enumerator.
 //!
 //! ## Value domains
 //!
@@ -46,33 +55,228 @@
 
 pub mod templates;
 
-use drfrlx_core::program::{Expr, Instr, Loc, Program, Reg, RmwOp, Thread};
+use drfrlx_core::program::{BinOp, Expr, Instr, Loc, Program, Reg, RmwOp, Thread};
 use drfrlx_core::OpClass;
 use hsim_gpu::{Kernel, Op, RmwKind, WorkItem};
+use std::collections::HashSet;
+use std::fmt;
 use std::sync::Arc;
 
-/// One lowered program thread: its instructions plus everything the
-/// interpreter needs that is cheaper to precompute than to rediscover
-/// per work item.
-#[derive(Debug)]
+/// Largest scratchpad the litmus lowering sizes from a program's
+/// constant scratch addresses.
+const MAX_LITMUS_SCRATCH_WORDS: usize = 1 << 16;
+
+/// Why a program cannot be lowered onto the simulator.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LowerError {
+    /// Name of the program.
+    pub program: String,
+    /// What about it cannot be lowered.
+    pub reason: String,
+}
+
+impl fmt::Display for LowerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot lower program `{}` onto the simulator: {}", self.program, self.reason)
+    }
+}
+
+impl std::error::Error for LowerError {}
+
+/// Where a micro-op reads one value from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Operand {
+    /// A register.
+    Reg(u16),
+    /// A constant that fits in an `i32`.
+    Imm(i32),
+    /// The postfix expression `pool[start..end]`.
+    Pooled { start: u32, end: u32 },
+}
+
+/// One step of a postfix expression.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Node {
+    Const(i64),
+    Reg(u16),
+    /// Pop `b`, pop `a`, push `a op b`.
+    Bin(BinOp),
+}
+
+/// One compiled instruction. Local ones (`Set`, `JumpIfZero`) run
+/// inside [`ProgramItem::next`]; the rest each yield one simulator
+/// [`Op`]. A `dst` receives the value the engine delivers as `last`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum MicroOp {
+    Set {
+        dst: u16,
+        val: Operand,
+    },
+    /// Continue at micro-op `target` when `cond` is zero.
+    JumpIfZero {
+        cond: Operand,
+        target: u32,
+    },
+    Think(u32),
+    Barrier,
+    Load {
+        addr: u64,
+        class: OpClass,
+        dst: u16,
+    },
+    Store {
+        addr: u64,
+        class: OpClass,
+        val: Operand,
+    },
+    /// `dst` is `None` when the result is dead (`use_result: false`).
+    Rmw {
+        addr: u64,
+        class: OpClass,
+        op: RmwOp,
+        operand: Operand,
+        expected: Operand,
+        dst: Option<u16>,
+    },
+    ScratchLoad {
+        addr: Operand,
+        dst: u16,
+    },
+    ScratchStore {
+        addr: Operand,
+        val: Operand,
+    },
+}
+
+/// One program thread compiled for the simulator: flat micro-ops with
+/// resolved addresses, the thread's postfix expression pool, and its
+/// register-file shape. Built once per distinct thread body and shared
+/// by every work item that runs it.
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct ThreadCode {
-    /// The thread's instruction sequence (shared, not cloned per item).
-    pub instrs: Vec<Instr>,
+    ops: Vec<MicroOp>,
+    pool: Vec<Node>,
+    /// Deepest evaluation stack any pooled expression needs.
+    max_depth: usize,
     /// Dense register-file size (`0..reg_count`).
-    pub reg_count: usize,
-    /// Per-instruction: does a later instruction read this RMW's
-    /// destination? (Only meaningful at `Instr::Rmw` indices.)
-    pub use_result: Vec<bool>,
+    reg_count: usize,
     /// Register-dump window base, when this thread observes its
     /// registers into memory after the body (litmus mode).
-    pub obs_base: Option<u64>,
+    obs_base: Option<u64>,
+}
+
+impl ThreadCode {
+    /// Compile `t` with location `l` at word `addrs[l]`. With
+    /// `all_results_used` every RMW consumes its result; otherwise only
+    /// those whose destination a later instruction reads.
+    fn compile(
+        t: &Thread,
+        addrs: &[u64],
+        obs_base: Option<u64>,
+        all_results_used: bool,
+    ) -> ThreadCode {
+        let instrs = &t.instrs;
+        // `first_op[i]`: index of the micro-op instruction `i` compiles
+        // to (or of the next one, for markers); `first_op[len]` = end.
+        let mut first_op = Vec::with_capacity(instrs.len() + 1);
+        let mut n = 0u32;
+        for i in instrs {
+            first_op.push(n);
+            n += u32::from(!matches!(i, Instr::BranchOn { .. } | Instr::Observe { .. }));
+        }
+        first_op.push(n);
+        let reg_count = thread_reg_count(t);
+        let live = if all_results_used { Vec::new() } else { rmw_results_used(t, reg_count) };
+
+        let mut code = ThreadCode {
+            ops: Vec::with_capacity(n as usize),
+            pool: Vec::new(),
+            max_depth: 0,
+            reg_count,
+            obs_base,
+        };
+        for (pc, instr) in instrs.iter().enumerate() {
+            let addr = |loc: &Loc| addrs[loc.0 as usize];
+            let op = match instr {
+                Instr::BranchOn { .. } | Instr::Observe { .. } => continue,
+                Instr::Assign { dst, expr } => MicroOp::Set { dst: dst.0, val: code.operand(expr) },
+                Instr::JumpIfZero { cond, skip } => {
+                    let to = pc.saturating_add(1).saturating_add(*skip).min(instrs.len());
+                    MicroOp::JumpIfZero { cond: code.operand(cond), target: first_op[to] }
+                }
+                Instr::Think { cycles } => MicroOp::Think(*cycles),
+                Instr::Barrier => MicroOp::Barrier,
+                Instr::Load { class, loc, dst } => {
+                    MicroOp::Load { addr: addr(loc), class: *class, dst: dst.0 }
+                }
+                Instr::Store { class, loc, val } => {
+                    MicroOp::Store { addr: addr(loc), class: *class, val: code.operand(val) }
+                }
+                Instr::Rmw { class, loc, op, operand, operand2, dst } => MicroOp::Rmw {
+                    addr: addr(loc),
+                    class: *class,
+                    op: *op,
+                    operand: code.operand(operand),
+                    expected: code.operand(operand2),
+                    dst: (all_results_used || live[pc]).then_some(dst.0),
+                },
+                Instr::ScratchLoad { addr, dst } => {
+                    MicroOp::ScratchLoad { addr: code.operand(addr), dst: dst.0 }
+                }
+                Instr::ScratchStore { addr, val } => {
+                    MicroOp::ScratchStore { addr: code.operand(addr), val: code.operand(val) }
+                }
+            };
+            code.ops.push(op);
+        }
+        code
+    }
+
+    /// Compile an expression operand, pooling it unless it is a bare
+    /// register or an `i32`-sized constant.
+    fn operand(&mut self, e: &Expr) -> Operand {
+        match e {
+            Expr::Reg(r) => return Operand::Reg(r.0),
+            Expr::Const(c) => {
+                if let Ok(v) = i32::try_from(*c) {
+                    return Operand::Imm(v);
+                }
+            }
+            Expr::Bin(..) => {}
+        }
+        let start = self.pool.len() as u32;
+        let depth = self.push_postfix(e);
+        self.max_depth = self.max_depth.max(depth);
+        Operand::Pooled { start, end: self.pool.len() as u32 }
+    }
+
+    /// Append `e` to the pool in postfix order; returns the stack depth
+    /// its evaluation needs.
+    fn push_postfix(&mut self, e: &Expr) -> usize {
+        match e {
+            Expr::Const(c) => {
+                self.pool.push(Node::Const(*c));
+                1
+            }
+            Expr::Reg(r) => {
+                self.pool.push(Node::Reg(r.0));
+                1
+            }
+            Expr::Bin(op, a, b) => {
+                let da = self.push_postfix(a);
+                let db = self.push_postfix(b);
+                self.pool.push(Node::Bin(*op));
+                da.max(db + 1)
+            }
+        }
+    }
 }
 
 /// A [`Program`] lowered onto the simulator grid.
 ///
 /// Implements [`Kernel`]; thread `block * threads_per_block + thread`
-/// of the grid runs program thread of the same index, interpreted by
-/// [`ProgramItem`].
+/// of the grid runs the [`ThreadCode`] of the program thread the
+/// lowering placed there, interpreted by [`ProgramItem`].
 #[derive(Debug, Clone)]
 pub struct ProgramKernel {
     name: String,
@@ -82,8 +286,6 @@ pub struct ProgramKernel {
     scratch_words: usize,
     /// Sparse non-zero initial memory (address, value).
     init: Vec<(u64, u64)>,
-    /// Location index → word address.
-    addr_of: Arc<Vec<u64>>,
     /// Block-major: `cells[block * tpb + thread]`.
     cells: Vec<Arc<ThreadCode>>,
 }
@@ -103,29 +305,27 @@ impl ProgramKernel {
     /// are per block). Scratch is sized from the largest constant
     /// scratch address in the program.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the program has no threads (nothing to simulate), or
-    /// if it addresses scratch through a non-constant expression (the
-    /// litmus lowering cannot size the scratchpad for those; use
+    /// Fails if the program has no threads (nothing to simulate), or
+    /// if it addresses scratch through anything but a constant in
+    /// `0..65536` (the litmus lowering has no geometry to size the
+    /// scratchpad from; use
     /// [`ProgramKernel::grid`] with an explicit `scratch_words`).
-    pub fn litmus(p: &Program) -> ProgramKernel {
-        assert!(!p.threads().is_empty(), "cannot lower a program with no threads");
-        let scratch_words = litmus_scratch_words(p);
+    pub fn litmus(p: &Program) -> Result<ProgramKernel, LowerError> {
+        if p.threads().is_empty() {
+            return Err(LowerError { program: p.name().to_string(), reason: "no threads".into() });
+        }
+        let scratch_words = litmus_scratch_words(p)?;
         let one_block = scratch_words.is_some()
-            || p.threads().iter().any(|t| t.instrs.iter().any(|i| matches!(i, Instr::Barrier)));
-        let addr_of: Arc<Vec<u64>> = Arc::new((0..p.num_locs() as u64).collect());
+            || p.threads().iter().any(|t| t.instrs.contains(&Instr::Barrier));
+        let addrs: Vec<u64> = (0..p.num_locs() as u64).collect();
         let mut next = p.num_locs() as u64;
         let mut cells = Vec::with_capacity(p.threads().len());
         for t in p.threads() {
-            let reg_count = thread_reg_count(t);
-            cells.push(Arc::new(ThreadCode {
-                instrs: t.instrs.clone(),
-                reg_count,
-                use_result: vec![true; t.instrs.len()],
-                obs_base: Some(next),
-            }));
-            next += reg_count as u64;
+            let code = ThreadCode::compile(t, &addrs, Some(next), true);
+            next += code.reg_count as u64;
+            cells.push(Arc::new(code));
         }
         let init = (0..p.num_locs() as u32)
             .map(Loc)
@@ -134,16 +334,15 @@ impl ProgramKernel {
             .collect();
         let (blocks, threads_per_block) =
             if one_block { (1, p.threads().len()) } else { (p.threads().len(), 1) };
-        ProgramKernel {
+        Ok(ProgramKernel {
             name: format!("conform_{}", p.name()),
             blocks,
             threads_per_block,
             memory_words: (next as usize).max(1),
             scratch_words: scratch_words.unwrap_or(0),
             init,
-            addr_of,
             cells,
-        }
+        })
     }
 
     /// Lower `p` in the workload shape: program thread `i` becomes grid
@@ -172,7 +371,7 @@ impl ProgramKernel {
     /// that stamp out hundreds of identical bodies (every flags worker,
     /// every seqlock reader) build the program with one thread per
     /// *distinct* body and replicate it here, so the unrolled
-    /// instruction stream is materialized exactly once.
+    /// instruction stream is compiled exactly once.
     ///
     /// # Panics
     ///
@@ -201,24 +400,20 @@ impl ProgramKernel {
                 a
             })
             .collect();
-        // Lower each program thread once, sharing one ThreadCode per
-        // distinct body even when the program itself repeats bodies.
-        let mut distinct: Vec<Arc<ThreadCode>> = Vec::new();
+        // Share one compiled body between equal threads, even when the
+        // program itself repeats bodies.
+        let mut distinct: HashSet<Arc<ThreadCode>> = HashSet::new();
         let codes: Vec<Arc<ThreadCode>> = p
             .threads()
             .iter()
             .map(|t| {
-                if let Some(c) = distinct.iter().find(|c| c.instrs == t.instrs) {
+                let code = ThreadCode::compile(t, &addrs, None, false);
+                if let Some(c) = distinct.get(&code) {
                     return Arc::clone(c);
                 }
-                let c = Arc::new(ThreadCode {
-                    reg_count: thread_reg_count(t),
-                    use_result: rmw_results_used(t),
-                    obs_base: None,
-                    instrs: t.instrs.clone(),
-                });
-                distinct.push(Arc::clone(&c));
-                c
+                let code = Arc::new(code);
+                distinct.insert(Arc::clone(&code));
+                code
             })
             .collect();
         let cells = layout
@@ -240,7 +435,6 @@ impl ProgramKernel {
             memory_words,
             scratch_words,
             init,
-            addr_of: Arc::new(addrs),
             cells,
         }
     }
@@ -295,102 +489,111 @@ impl Kernel for ProgramKernel {
     }
 
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        let code = Arc::clone(&self.cells[block * self.threads_per_block + thread]);
-        Box::new(ProgramItem::new(code, Arc::clone(&self.addr_of)))
+        Box::new(ProgramItem::new(Arc::clone(&self.cells[block * self.threads_per_block + thread])))
     }
 }
 
-/// A work item interpreting one program thread.
+/// A work item running one compiled program thread.
 ///
-/// Local computation (assignments, branch markers, structured `if`s) is
-/// interpreted inline; memory, scratch, think and barrier instructions
-/// are yielded as simulator [`Op`]s. Values delivered back through
-/// `last` land in the register recorded in `pending` — the same
-/// protocol for global loads, scratch loads and result-consuming RMWs.
+/// Local micro-ops (register assignments, conditional jumps) run
+/// inline; memory, scratch, think and barrier micro-ops are yielded as
+/// simulator [`Op`]s. A value delivered back through `last` lands in
+/// the register recorded in `pending` — the same protocol for global
+/// loads, scratch loads and result-consuming RMWs.
 pub struct ProgramItem {
     code: Arc<ThreadCode>,
-    addr_of: Arc<Vec<u64>>,
-    /// Dense register file; `None` = never written (reads as 0, like
-    /// the axiomatic enumerator's [`drfrlx_core::program::Expr::eval_slice`]).
-    regs: Vec<Option<i64>>,
+    /// Dense register file; never-written registers read as 0.
+    regs: Vec<i64>,
+    /// Evaluation stack for pooled expressions.
+    stack: Vec<i64>,
     pc: usize,
     /// Register awaiting the value delivered as `last`.
-    pending: Option<Reg>,
+    pending: Option<u16>,
     /// Registers dumped so far in the observation phase.
     dumped: usize,
 }
 
 impl ProgramItem {
     /// A fresh item at the top of `code`.
-    pub fn new(code: Arc<ThreadCode>, addr_of: Arc<Vec<u64>>) -> ProgramItem {
-        let regs = vec![None; code.reg_count];
-        ProgramItem { code, addr_of, regs, pc: 0, pending: None, dumped: 0 }
+    fn new(code: Arc<ThreadCode>) -> ProgramItem {
+        let regs = vec![0; code.reg_count];
+        let stack = Vec::with_capacity(code.max_depth);
+        ProgramItem { code, regs, stack, pc: 0, pending: None, dumped: 0 }
+    }
+}
+
+/// Evaluate `o` against `regs`, using `stack` for pooled expressions.
+fn eval(o: Operand, regs: &[i64], pool: &[Node], stack: &mut Vec<i64>) -> i64 {
+    match o {
+        Operand::Reg(r) => regs[r as usize],
+        Operand::Imm(v) => i64::from(v),
+        Operand::Pooled { start, end } => {
+            stack.clear();
+            for &node in &pool[start as usize..end as usize] {
+                let v = match node {
+                    Node::Const(c) => c,
+                    Node::Reg(r) => regs[r as usize],
+                    Node::Bin(op) => {
+                        let b = stack.pop().expect("postfix operand");
+                        let a = stack.pop().expect("postfix operand");
+                        op.apply(a, b)
+                    }
+                };
+                stack.push(v);
+            }
+            stack.pop().expect("postfix result")
+        }
     }
 }
 
 impl WorkItem for ProgramItem {
     fn next(&mut self, last: Option<u64>) -> Op {
-        if let Some(dst) = self.pending.take() {
+        let ProgramItem { code, regs, stack, pc, pending, dumped } = self;
+        if let Some(dst) = pending.take() {
             let v = last.expect("memory op with a destination returns a value");
-            self.regs[dst.0 as usize] = Some(v as i64);
+            regs[dst as usize] = v as i64;
         }
-        while self.pc < self.code.instrs.len() {
-            let pc = self.pc;
-            self.pc += 1;
-            match &self.code.instrs[pc] {
-                Instr::Assign { dst, expr } => {
-                    self.regs[dst.0 as usize] = Some(expr.eval_slice(&self.regs));
+        let pool = &code.pool;
+        while let Some(&op) = code.ops.get(*pc) {
+            *pc += 1;
+            let mut value = |o| eval(o, regs, pool, stack);
+            match op {
+                MicroOp::Set { dst, val } => {
+                    let v = value(val);
+                    regs[dst as usize] = v;
                 }
-                Instr::BranchOn { .. } | Instr::Observe { .. } => {
-                    // Dependency/observability markers: no dynamic
-                    // effect, the simulator executes the real path.
-                }
-                Instr::JumpIfZero { cond, skip } => {
-                    if cond.eval_slice(&self.regs) == 0 {
-                        self.pc += skip;
+                MicroOp::JumpIfZero { cond, target } => {
+                    if value(cond) == 0 {
+                        *pc = target as usize;
                     }
                 }
-                Instr::Think { cycles } => {
-                    return Op::Think(*cycles);
+                MicroOp::Think(cycles) => return Op::Think(cycles),
+                MicroOp::Barrier => return Op::Barrier,
+                MicroOp::Load { addr, class, dst } => {
+                    *pending = Some(dst);
+                    return Op::Load { addr, class };
                 }
-                Instr::Barrier => {
-                    return Op::Barrier;
+                MicroOp::Store { addr, class, val } => {
+                    return Op::Store { addr, value: value(val) as u64, class };
                 }
-                Instr::ScratchLoad { addr, dst } => {
-                    self.pending = Some(*dst);
-                    return Op::ScratchLoad { addr: addr.eval_slice(&self.regs) as u64 };
-                }
-                Instr::ScratchStore { addr, val } => {
-                    return Op::ScratchStore {
-                        addr: addr.eval_slice(&self.regs) as u64,
-                        value: val.eval_slice(&self.regs) as u64,
-                    };
-                }
-                Instr::Load { class, loc, dst } => {
-                    self.pending = Some(*dst);
-                    return Op::Load { addr: self.addr_of[loc.0 as usize], class: *class };
-                }
-                Instr::Store { class, loc, val } => {
-                    return Op::Store {
-                        addr: self.addr_of[loc.0 as usize],
-                        value: val.eval_slice(&self.regs) as u64,
-                        class: *class,
-                    };
-                }
-                Instr::Rmw { class, loc, op, operand, operand2, dst } => {
-                    let k = operand.eval_slice(&self.regs);
-                    let k2 = operand2.eval_slice(&self.regs);
-                    let use_result = self.code.use_result[pc];
-                    if use_result {
-                        self.pending = Some(*dst);
-                    }
+                MicroOp::Rmw { addr, class, op, operand, expected, dst } => {
+                    let (k, k2) = (value(operand), value(expected));
+                    *pending = dst;
                     return Op::Rmw {
-                        addr: self.addr_of[loc.0 as usize],
-                        rmw: lower_rmw(*op, k2),
+                        addr,
+                        rmw: lower_rmw(op, k2),
                         operand: k as u64,
-                        class: *class,
-                        use_result,
+                        class,
+                        use_result: dst.is_some(),
                     };
+                }
+                MicroOp::ScratchLoad { addr, dst } => {
+                    let addr = value(addr) as u64;
+                    *pending = Some(dst);
+                    return Op::ScratchLoad { addr };
+                }
+                MicroOp::ScratchStore { addr, val } => {
+                    return Op::ScratchStore { addr: value(addr) as u64, value: value(val) as u64 };
                 }
             }
         }
@@ -398,15 +601,11 @@ impl WorkItem for ProgramItem {
         // observation window, then retire. Plain data stores to
         // thread-private words — racing with nothing, invisible to
         // other threads.
-        if let Some(base) = self.code.obs_base {
-            if self.dumped < self.regs.len() {
-                let r = self.dumped;
-                self.dumped += 1;
-                return Op::Store {
-                    addr: base + r as u64,
-                    value: self.regs[r].unwrap_or(0) as u64,
-                    class: OpClass::Data,
-                };
+        if let Some(base) = code.obs_base {
+            if let Some(&v) = regs.get(*dumped) {
+                let r = *dumped;
+                *dumped += 1;
+                return Op::Store { addr: base + r as u64, value: v as u64, class: OpClass::Data };
             }
         }
         Op::Done
@@ -455,27 +654,35 @@ fn write_of(i: &Instr) -> Option<Reg> {
 /// constant scratch address, or `None` when the program never touches
 /// scratch.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a non-constant scratch address — the litmus lowering has
-/// no geometry to bound it with.
-fn litmus_scratch_words(p: &Program) -> Option<usize> {
-    let bound = |e: &Expr| match e {
-        Expr::Const(c) if *c >= 0 => *c as usize + 1,
-        _ => panic!(
-            "litmus lowering of {} requires constant scratch addresses, found {e:?}",
-            p.name()
-        ),
-    };
+/// Fails on a scratch address that is not a constant in
+/// `0..MAX_LITMUS_SCRATCH_WORDS` — the litmus lowering has no geometry
+/// to bound it with.
+fn litmus_scratch_words(p: &Program) -> Result<Option<usize>, LowerError> {
     let mut words = None;
     for t in p.threads() {
         for i in &t.instrs {
             if let Instr::ScratchLoad { addr, .. } | Instr::ScratchStore { addr, .. } = i {
-                words = Some(bound(addr).max(words.unwrap_or(0)));
+                let w = match addr {
+                    Expr::Const(c) => usize::try_from(*c)
+                        .ok()
+                        .filter(|&c| c < MAX_LITMUS_SCRATCH_WORDS)
+                        .map(|c| c + 1),
+                    _ => None,
+                };
+                let w = w.ok_or_else(|| LowerError {
+                    program: p.name().to_string(),
+                    reason: format!(
+                        "scratch address `{}` is not a constant in 0..{MAX_LITMUS_SCRATCH_WORDS}",
+                        drfrlx_core::emit::expr(addr)
+                    ),
+                })?;
+                words = Some(w.max(words.unwrap_or(0)));
             }
         }
     }
-    words
+    Ok(words)
 }
 
 /// Highest register index a thread writes or reads, plus one.
@@ -495,20 +702,18 @@ pub fn thread_reg_count(t: &Thread) -> usize {
 /// later instruction reads the RMW's destination register. With the
 /// builder's fresh-register discipline this is exact; reusing a
 /// destination register only ever errs towards `true` (consume the
-/// result), never towards dropping a value someone needs.
-fn rmw_results_used(t: &Thread) -> Vec<bool> {
-    t.instrs
-        .iter()
-        .enumerate()
-        .map(|(i, instr)| match instr {
-            Instr::Rmw { dst, .. } => t.instrs[i + 1..].iter().any(|later| {
-                let mut read = false;
-                for_each_read(later, &mut |r| read |= r == *dst);
-                read
-            }),
-            _ => true,
-        })
-        .collect()
+/// result), never towards dropping a value someone needs. One backward
+/// pass, tracking which registers some later instruction reads.
+fn rmw_results_used(t: &Thread, reg_count: usize) -> Vec<bool> {
+    let mut read_later = vec![false; reg_count];
+    let mut used = vec![true; t.instrs.len()];
+    for (i, instr) in t.instrs.iter().enumerate().rev() {
+        if let Instr::Rmw { dst, .. } = instr {
+            used[i] = read_later[dst.0 as usize];
+        }
+        for_each_read(instr, &mut |r| read_later[r.0 as usize] = true);
+    }
+    used
 }
 
 /// Map a litmus RMW to the simulator's (same modify function in both
@@ -576,8 +781,8 @@ mod tests {
         assert_eq!(k.blocks(), 1);
         assert_eq!(k.threads_per_block(), 2);
         // Thread 0's RMW result is dead, thread 1's is live.
-        assert!(!k.cells[0].use_result[0]);
-        assert!(k.cells[1].use_result[0]);
+        assert!(matches!(k.cells[0].ops[0], MicroOp::Rmw { dst: None, .. }));
+        assert!(matches!(k.cells[1].ops[0], MicroOp::Rmw { dst: Some(0), .. }));
         let r = run_kernel(&k, &EngineParams::default(), &mut Instant);
         assert_eq!(r.memory[16], 2, "both increments landed at the padded address");
         assert!(r.memory[17] == 0 || r.memory[17] == 1, "old value stored");
@@ -651,7 +856,7 @@ mod tests {
             t.barrier();
         }
         let p = p.build();
-        let k = ProgramKernel::litmus(&p);
+        let k = ProgramKernel::litmus(&p).unwrap();
         assert_eq!(k.blocks(), 1);
         assert_eq!(k.threads_per_block(), 2);
         assert_eq!(k.scratch_words(), 2);
@@ -670,11 +875,68 @@ mod tests {
             t.observe(r);
         }
         let p = p.build();
-        let k = ProgramKernel::litmus(&p);
+        let k = ProgramKernel::litmus(&p).unwrap();
         assert_eq!(k.reg_counts(), vec![1]);
         assert_eq!(k.obs_bases(), vec![1]);
         let r = run_kernel(&k, &EngineParams::default(), &mut Instant);
         assert_eq!(r.memory[0], 7, "x = 5 then fadd 2");
         assert_eq!(r.memory[1], 5, "RMW returned the old value");
+    }
+
+    #[test]
+    fn compiled_operands_cover_registers_immediates_and_pooled_expressions() {
+        let mut p = Program::new("ops");
+        {
+            let mut t = p.thread();
+            let r = t.load(OpClass::Data, "x");
+            t.store(OpClass::Data, "y", r);
+            t.store(OpClass::Data, "y", 7);
+            t.store(OpClass::Data, "y", 1 << 40);
+            t.store(
+                OpClass::Data,
+                "y",
+                drfrlx_core::program::Expr::bin(
+                    drfrlx_core::program::BinOp::Add,
+                    r.into(),
+                    drfrlx_core::program::Expr::bin(
+                        drfrlx_core::program::BinOp::Sub,
+                        3.into(),
+                        r.into(),
+                    ),
+                ),
+            );
+        }
+        let p = p.build();
+        let k = ProgramKernel::litmus(&p).unwrap();
+        let code = &k.cells[0];
+        let vals: Vec<Operand> = code
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                MicroOp::Store { val, .. } => Some(*val),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(vals[0], Operand::Reg(0));
+        assert_eq!(vals[1], Operand::Imm(7));
+        assert_eq!(vals[2], Operand::Pooled { start: 0, end: 1 }, "wide constants are pooled");
+        assert_eq!(vals[3], Operand::Pooled { start: 1, end: 6 });
+        assert_eq!(code.max_depth, 3, "r, then 3 and r of the nested subtraction");
+        let r = run_kernel(&k, &EngineParams::default(), &mut Instant);
+        assert_eq!(r.memory[1], 3, "x = 0: 0 + (3 - 0)");
+    }
+
+    #[test]
+    fn litmus_lowering_rejects_unbounded_scratch_addresses() {
+        let src = "litmus bad\nthread t0 { r0 = load.data x; sstore r0 1; barrier; }\n\
+                   thread t1 { barrier; r1 = sload 0; observe r1; }";
+        let p = drfrlx_core::parse::parse(src).unwrap();
+        let e = ProgramKernel::litmus(&p).unwrap_err();
+        assert_eq!(e.program, "bad");
+        assert!(e.to_string().contains("scratch address `r0`"), "{e}");
+        let p = drfrlx_core::parse::parse("litmus neg\nthread t0 { sstore (-1) 1; }").unwrap();
+        let e = ProgramKernel::litmus(&p).unwrap_err();
+        assert!(e.to_string().contains("scratch address `-1`"), "{e}");
+        assert!(ProgramKernel::litmus(&Program::new("empty")).is_err());
     }
 }

@@ -153,6 +153,9 @@ fn run_ladder(seed: u64, index: u64, opts: &ConformOptions, res: &ConformResilie
             check_conformance_resilient(&p, &rung_opts, res)
         }));
         let Ok(out) = out else { continue };
+        // Generated programs use no scratch, so a non-empty one always
+        // lowers.
+        let Ok(out) = out else { return Ladder::Skipped };
         if let RunStatus::Inconclusive {
             reason: reason @ (ExhaustReason::Deadline | ExhaustReason::Cancelled),
             ..

@@ -9,10 +9,13 @@
 //! [`drfrlx_core::OpClass`] annotation — the engine maps classes
 //! through the active [`hsim_gpu::ConsistencyPolicy`] exactly as for
 //! hand-written workloads — and local computation (assignments, branch
-//! markers, structured `if`s) interpreted inside the work item. The
-//! actual lowering and interpretation live in `drfrlx-bridge`, shared
-//! with the micro workloads' grid kernels; this module only pins the
+//! markers, structured `if`s) compiled to micro-ops that run inside the
+//! work item. The actual lowering lives in `drfrlx-bridge`, shared with
+//! the micro workloads' grid kernels; this module only pins the
 //! litmus-specific layout contract used by outcome normalization.
+//! Programs the litmus lowering cannot place (a scratch address that
+//! is not a small constant) are rejected with a
+//! [`drfrlx_bridge::LowerError`] by [`try_compile`].
 //!
 //! ## Memory layout and observation
 //!
@@ -34,14 +37,14 @@
 //! computes the same bit pattern in both domains, so checker and
 //! simulator agree on every program the fuzzer can generate.
 
-use drfrlx_bridge::ProgramKernel;
+use drfrlx_bridge::{LowerError, ProgramKernel};
 use drfrlx_core::program::Program;
 use hsim_gpu::{Kernel, WorkItem};
 
 /// Shape information shared by the kernel and outcome normalization.
 #[derive(Debug, Clone)]
 pub struct CompiledLitmus {
-    /// The source program (threads are interpreted per work item).
+    /// The source program (kept for the oracle and normalization).
     pub program: Program,
     /// Registers each thread can write (dense `0..reg_count`).
     pub reg_counts: Vec<usize>,
@@ -55,19 +58,30 @@ pub struct CompiledLitmus {
 
 /// Compile `p` into a simulator kernel plus its layout.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the program has no threads (nothing to simulate).
-pub fn compile(p: &Program) -> CompiledLitmus {
-    assert!(!p.threads().is_empty(), "cannot compile a litmus program with no threads");
-    let kernel = ProgramKernel::litmus(p);
-    CompiledLitmus {
+/// Fails when the litmus lowering rejects the program: no threads, or
+/// a scratch address that is not a small non-negative constant (see
+/// [`ProgramKernel::litmus`]).
+pub fn try_compile(p: &Program) -> Result<CompiledLitmus, LowerError> {
+    let kernel = ProgramKernel::litmus(p)?;
+    Ok(CompiledLitmus {
         program: p.clone(),
         reg_counts: kernel.reg_counts(),
         obs_base: kernel.obs_bases(),
         memory_words: kernel.memory_words(),
         kernel,
-    }
+    })
+}
+
+/// [`try_compile`] for programs known to lower (the corpora, generated
+/// fuzz programs).
+///
+/// # Panics
+///
+/// Panics with the [`LowerError`] if the program cannot be lowered.
+pub fn compile(p: &Program) -> CompiledLitmus {
+    try_compile(p).unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Kernel for CompiledLitmus {

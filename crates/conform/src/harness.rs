@@ -20,9 +20,10 @@
 //! regardless of worker count, outcome sets are `BTreeSet`s, and the
 //! oracle's shard set depends only on the program.
 
-use crate::compile::{compile, CompiledLitmus};
+use crate::compile::{try_compile, CompiledLitmus};
 use crate::outcome::{allowed_outcomes, Outcome};
 use crate::schedule::schedule_params;
+use drfrlx_bridge::LowerError;
 use drfrlx_core::exec::{EnumError, EnumLimits, EnumStats};
 use drfrlx_core::program::Program;
 use drfrlx_core::resilience::{Budget, FaultPlan, RunStatus};
@@ -30,7 +31,40 @@ use drfrlx_core::{MemoryModel, SystemConfig};
 use drfrlx_litmus::{all_tests, Category};
 use hsim_sys::{run_matrix, run_matrix_resilient, MatrixResilience, RunReport, SimJob, SysParams};
 use std::collections::BTreeSet;
+use std::fmt;
 use std::sync::Arc;
+
+/// Why a conformance run produced no report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConformError {
+    /// The program cannot be lowered onto the simulator.
+    Lower(LowerError),
+    /// The oracle could not enumerate the program within its limits.
+    Oracle(EnumError),
+}
+
+impl fmt::Display for ConformError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConformError::Lower(e) => e.fmt(f),
+            ConformError::Oracle(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ConformError {}
+
+impl From<LowerError> for ConformError {
+    fn from(e: LowerError) -> Self {
+        ConformError::Lower(e)
+    }
+}
+
+impl From<EnumError> for ConformError {
+    fn from(e: EnumError) -> Self {
+        ConformError::Oracle(e)
+    }
+}
 
 /// Options for one conformance run.
 #[derive(Debug, Clone)]
@@ -224,18 +258,18 @@ fn fold_report<'a>(
 ///
 /// # Errors
 ///
-/// Returns [`EnumError::TooManyExecutions`] when the oracle cannot
-/// enumerate the program within `opts.limits` (the simulation side ran
-/// by then, but without an allowed set there is no verdict).
-///
-/// # Panics
-///
-/// Panics if the program has no threads.
-pub fn check_conformance(p: &Program, opts: &ConformOptions) -> Result<ConformReport, EnumError> {
-    let shape = compile(p);
+/// [`ConformError::Lower`] when the program cannot be lowered onto the
+/// simulator; [`ConformError::Oracle`] when the oracle cannot
+/// enumerate it within `opts.limits` (the simulation side ran by then,
+/// but without an allowed set there is no verdict).
+pub fn check_conformance(
+    p: &Program,
+    opts: &ConformOptions,
+) -> Result<ConformReport, ConformError> {
+    let shape = try_compile(p)?;
     let jobs = conform_jobs(&shape, opts);
     let reports = run_matrix(&jobs, opts.threads);
-    report_from_runs(&shape, opts, &reports)
+    Ok(report_from_runs(&shape, opts, &reports)?)
 }
 
 /// Resilience controls for a conformance run. The default — no
@@ -278,16 +312,16 @@ pub struct ConformOutcome {
 /// observed sets, so soundness verdicts on the surviving observations
 /// remain valid (prefix-soundness — see [`report_from_partial_runs`]).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the program has no threads (same contract as
-/// [`check_conformance`]).
+/// Fails, before anything runs, when the program cannot be lowered
+/// onto the simulator.
 pub fn check_conformance_resilient(
     p: &Program,
     opts: &ConformOptions,
     res: &ConformResilience,
-) -> ConformOutcome {
-    let shape = compile(p);
+) -> Result<ConformOutcome, LowerError> {
+    let shape = try_compile(p)?;
     let jobs = conform_jobs(&shape, opts);
     let matrix = run_matrix_resilient(
         &jobs,
@@ -299,21 +333,22 @@ pub fn check_conformance_resilient(
         limits.budget = res.budget.clone();
     }
     let report_at = |i: usize| matrix.reports.get(i).and_then(Option::as_ref);
-    match fold_report(&shape, opts, &limits, &report_at) {
+    Ok(match fold_report(&shape, opts, &limits, &report_at) {
         Ok(report) => ConformOutcome { report: Some(report), status: matrix.status },
         Err(e) => ConformOutcome {
             report: None,
             status: RunStatus::Inconclusive { reason: e.exhaust_reason(), frontier: Vec::new() },
         },
-    }
+    })
 }
 
 /// Is `p` *demonstrably* unsound under `opts` — i.e. did some
-/// configuration observe a disallowed outcome? Oracle overflow counts
-/// as "not demonstrated" (the shrinker predicate must only accept
-/// programs whose disagreement reproduces).
+/// configuration observe a disallowed outcome? Oracle overflow and
+/// programs that cannot be lowered count as "not demonstrated" (the
+/// shrinker predicate must only accept programs whose disagreement
+/// reproduces).
 pub fn is_unsound(p: &Program, opts: &ConformOptions) -> bool {
-    !p.threads().is_empty() && matches!(check_conformance(p, opts), Ok(report) if !report.sound())
+    matches!(check_conformance(p, opts), Ok(report) if !report.sound())
 }
 
 /// The Table-1 use-case corpus as `(name, program)` pairs.
@@ -329,8 +364,8 @@ pub fn table1_corpus() -> Vec<(String, Program)> {
 ///
 /// # Errors
 ///
-/// Propagates the first oracle enumeration failure.
-pub fn run_corpus(opts: &ConformOptions) -> Result<Vec<ConformReport>, EnumError> {
+/// Propagates the first lowering or oracle enumeration failure.
+pub fn run_corpus(opts: &ConformOptions) -> Result<Vec<ConformReport>, ConformError> {
     table1_corpus().iter().map(|(_, p)| check_conformance(p, opts)).collect()
 }
 
@@ -339,8 +374,8 @@ pub fn run_corpus(opts: &ConformOptions) -> Result<Vec<ConformReport>, EnumError
 ///
 /// # Errors
 ///
-/// Propagates the first oracle enumeration failure.
-pub fn run_template_corpus(opts: &ConformOptions) -> Result<Vec<ConformReport>, EnumError> {
+/// Propagates the first lowering or oracle enumeration failure.
+pub fn run_template_corpus(opts: &ConformOptions) -> Result<Vec<ConformReport>, ConformError> {
     crate::templates::template_corpus().iter().map(|(_, p)| check_conformance(p, opts)).collect()
 }
 
@@ -462,7 +497,7 @@ mod tests {
         p.thread().load(OpClass::Paired, "x");
         let p = p.build();
         let plain = check_conformance(&p, &opts).unwrap();
-        let out = check_conformance_resilient(&p, &opts, &ConformResilience::default());
+        let out = check_conformance_resilient(&p, &opts, &ConformResilience::default()).unwrap();
         assert_eq!(out.status, RunStatus::Complete);
         let r = out.report.expect("complete run carries a report");
         assert_eq!(r.allowed, plain.allowed);
@@ -484,7 +519,7 @@ mod tests {
             // Job 0 panics on both attempts and is lost.
             fault_plan: Some(FaultPlan::pinned(EngineId::Sweep, 0, 2, Fault::Panic)),
         };
-        let out = check_conformance_resilient(&p, &opts, &res);
+        let out = check_conformance_resilient(&p, &opts, &res).unwrap();
         assert_eq!(out.status, RunStatus::Degraded { lost: vec![0] });
         let r = out.report.expect("a degraded run still has an oracle and a verdict");
         assert!(r.sound(), "missing observations cannot invent a violation");
@@ -501,12 +536,27 @@ mod tests {
         p.thread().store(OpClass::Data, "x", 1);
         p.thread().store(OpClass::Data, "x", 2);
         let p = p.build();
-        let out = check_conformance_resilient(&p, &opts, &ConformResilience::default());
+        let out = check_conformance_resilient(&p, &opts, &ConformResilience::default()).unwrap();
         assert!(out.report.is_none());
         match out.status {
             RunStatus::Inconclusive { reason: ExhaustReason::Executions { .. }, .. } => {}
             s => panic!("expected Inconclusive(Executions), got {s:?}"),
         }
+    }
+
+    #[test]
+    fn a_program_the_lowering_rejects_is_an_error_not_a_panic() {
+        let src = "litmus bad\nthread t0 { r0 = load.data x; sstore r0 1; barrier; }\n\
+                   thread t1 { barrier; r1 = sload 0; observe r1; }";
+        let p = drfrlx_core::parse::parse(src).unwrap();
+        let opts = quick_opts();
+        match check_conformance(&p, &opts) {
+            Err(ConformError::Lower(e)) => assert_eq!(e.program, "bad"),
+            other => panic!("expected a lowering error, got {:?}", other.map(|r| r.name)),
+        }
+        assert!(check_conformance_resilient(&p, &opts, &ConformResilience::default()).is_err());
+        assert!(!is_unsound(&p, &opts));
+        assert!(!is_unsound(&Program::new("empty"), &opts));
     }
 
     #[test]

@@ -74,6 +74,13 @@ fn rmw_name(op: RmwOp) -> &'static str {
     }
 }
 
+/// Render one expression in the textual litmus format (`(r0 + 1)`).
+pub fn expr(e: &Expr) -> String {
+    let mut out = String::new();
+    emit_expr(e, &mut out);
+    out
+}
+
 /// Render `p` in the textual litmus format.
 ///
 /// `parse(&emit(p))` yields a program with identical threads, classes

@@ -36,7 +36,7 @@ pub enum Expr {
 }
 
 /// Binary operators available in [`Expr`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Wrapping addition.
     Add,
@@ -60,27 +60,32 @@ pub enum BinOp {
     Max,
 }
 
+impl BinOp {
+    /// Apply the operator to two evaluated operands.
+    #[inline]
+    pub fn apply(self, a: Value, b: Value) -> Value {
+        match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Eq => (a == b) as Value,
+            BinOp::Ne => (a != b) as Value,
+            BinOp::Lt => (a < b) as Value,
+            BinOp::Min => a.min(b),
+            BinOp::Max => a.max(b),
+        }
+    }
+}
+
 impl Expr {
     /// Evaluate under a register file.
     pub fn eval(&self, regs: &BTreeMap<Reg, Value>) -> Value {
         match self {
             Expr::Const(v) => *v,
             Expr::Reg(r) => *regs.get(r).unwrap_or(&0),
-            Expr::Bin(op, a, b) => {
-                let (a, b) = (a.eval(regs), b.eval(regs));
-                match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Eq => (a == b) as Value,
-                    BinOp::Ne => (a != b) as Value,
-                    BinOp::Lt => (a < b) as Value,
-                    BinOp::Min => a.min(b),
-                    BinOp::Max => a.max(b),
-                }
-            }
+            Expr::Bin(op, a, b) => op.apply(a.eval(regs), b.eval(regs)),
         }
     }
 
@@ -115,21 +120,7 @@ impl Expr {
         match self {
             Expr::Const(v) => *v,
             Expr::Reg(r) => regs.get(r.0 as usize).copied().flatten().unwrap_or(0),
-            Expr::Bin(op, a, b) => {
-                let (a, b) = (a.eval_slice(regs), b.eval_slice(regs));
-                match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Eq => (a == b) as Value,
-                    BinOp::Ne => (a != b) as Value,
-                    BinOp::Lt => (a < b) as Value,
-                    BinOp::Min => a.min(b),
-                    BinOp::Max => a.max(b),
-                }
-            }
+            Expr::Bin(op, a, b) => op.apply(a.eval_slice(regs), b.eval_slice(regs)),
         }
     }
 
@@ -155,7 +146,7 @@ impl From<Reg> for Expr {
 ///
 /// The loaded (old) value is returned into the destination register; the
 /// written value is a function of the old value and the operand(s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RmwOp {
     /// `new = old + operand`.
     FetchAdd,
@@ -432,12 +423,12 @@ impl Program {
     }
 
     /// Finish building. Consumes nothing; exists so call sites read
-    /// naturally (`p.build()`), and validates basic well-formedness.
+    /// naturally (`p.build()`). Registers are not checked: one read
+    /// before any write reads 0, as everywhere else in the pipeline.
     ///
     /// # Panics
     ///
-    /// Panics if the program has no threads or a thread writes a
-    /// register it also uses before definition — both indicate test bugs.
+    /// Panics if the program has no threads (a test bug).
     pub fn build(self) -> Program {
         assert!(!self.threads.is_empty(), "program {} has no threads", self.name);
         self

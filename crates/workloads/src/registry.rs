@@ -11,7 +11,7 @@ use crate::uts::Uts;
 use drfrlx_core::{OpClass, SystemConfig};
 use hsim_gpu::Kernel;
 use hsim_sys::{six_config_jobs, SimJob, SysParams};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One row of Table 3.
 pub struct WorkloadSpec {
@@ -28,21 +28,27 @@ pub struct WorkloadSpec {
     pub classes: &'static [OpClass],
     /// Kernel constructor.
     pub build: Box<dyn Fn() -> Box<dyn Kernel> + Send + Sync>,
+    /// The instance [`WorkloadSpec::shared_kernel`] hands out, built on
+    /// first use.
+    shared: OnceLock<Arc<dyn Kernel>>,
 }
 
 impl WorkloadSpec {
-    /// Instantiate the kernel.
+    /// Instantiate a fresh kernel.
     pub fn kernel(&self) -> Box<dyn Kernel> {
         (self.build)()
     }
 
-    /// Instantiate the kernel behind an [`Arc`] so one instance can be
-    /// shared by every [`SimJob`] of a sweep.
+    /// This spec's kernel, built once on first call and shared by every
+    /// later call — and so by every [`SimJob`] made from this spec, on
+    /// every platform. Kernels are immutable descriptions (each run
+    /// creates its own work items), so sharing never changes a result.
     pub fn shared_kernel(&self) -> Arc<dyn Kernel> {
-        Arc::from(self.kernel())
+        Arc::clone(self.shared.get_or_init(|| Arc::from(self.kernel())))
     }
 
-    /// One validated simulation job for this workload.
+    /// One validated simulation job for this workload (on the shared
+    /// kernel).
     pub fn job(&self, config: SystemConfig, params: &SysParams) -> SimJob {
         SimJob::new(self.name, self.shared_kernel(), config, params)
     }
@@ -69,6 +75,7 @@ fn spec(
         scaled_input: scaled_input.into(),
         classes,
         build: Box::new(build),
+        shared: OnceLock::new(),
     }
 }
 
@@ -186,6 +193,27 @@ mod tests {
         assert_eq!(by_name("SEQ").classes, &[OpClass::Speculative]);
         assert!(by_name("BC-1").classes.contains(&OpClass::NonOrdering));
         assert_eq!(by_name("PR-1").classes, &[OpClass::Commutative]);
+    }
+
+    #[test]
+    fn shared_kernel_is_built_once_per_spec() {
+        let flags =
+            |specs: Vec<WorkloadSpec>| specs.into_iter().find(|s| s.name == "Flags").unwrap();
+        let s = flags(microbenchmarks());
+        let a = s.shared_kernel();
+        assert!(Arc::ptr_eq(&a, &s.shared_kernel()), "repeated calls share one instance");
+        for params in [SysParams::integrated(), SysParams::discrete_gpu()] {
+            for job in s.six_jobs(&params) {
+                assert!(Arc::ptr_eq(&a, &job.kernel), "{} {}", params.name, job.config);
+            }
+            let job = s.job(SystemConfig::from_abbrev("DDR").unwrap(), &params);
+            assert!(Arc::ptr_eq(&a, &job.kernel), "{}: job() shares it too", params.name);
+        }
+        let fresh: Arc<dyn Kernel> = Arc::from(s.kernel());
+        assert!(!Arc::ptr_eq(&a, &fresh), "kernel() still builds a fresh instance");
+        assert_eq!(fresh.blocks(), a.blocks());
+        // Another registry instance has its own cache.
+        assert!(!Arc::ptr_eq(&a, &flags(microbenchmarks()).shared_kernel()));
     }
 
     #[test]

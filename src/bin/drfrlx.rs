@@ -475,7 +475,7 @@ fn cmd_conform(args: &[String]) -> CmdResult {
     use drfrlx::conform::{
         check_conformance, check_conformance_resilient, generate, is_unsound, render_corpus,
         render_summary, resume_campaign, run_corpus, run_template_corpus, shrink, CampaignState,
-        ConformOptions, ConformResilience,
+        ConformError, ConformOptions, ConformResilience,
     };
     use drfrlx::litmus::all_tests;
 
@@ -604,10 +604,11 @@ fn cmd_conform(args: &[String]) -> CmdResult {
         let run = if target == "corpus" { run_corpus } else { run_template_corpus };
         let reports = match run(&opts) {
             Ok(reports) => reports,
-            Err(e) => {
+            Err(ConformError::Oracle(e)) => {
                 eprintln!("inconclusive: {e}");
                 return Ok(EXIT_INCONCLUSIVE);
             }
+            Err(e) => return Err(e.into()),
         };
         print!("{}", render_corpus(&reports, &opts));
         return Ok(if reports.iter().all(|r| r.sound()) { EXIT_CLEAN } else { EXIT_FINDING });
@@ -622,7 +623,7 @@ fn cmd_conform(args: &[String]) -> CmdResult {
             .ok_or_else(|| format!("unknown litmus test `{target}` (or pass a .litmus path)"))?
     };
     if res_flags.engaged() {
-        let out = check_conformance_resilient(&p, &opts, &res);
+        let out = check_conformance_resilient(&p, &opts, &res)?;
         return Ok(match out.report {
             Some(r) => {
                 print_report(&r);
@@ -645,10 +646,11 @@ fn cmd_conform(args: &[String]) -> CmdResult {
     }
     let r = match check_conformance(&p, &opts) {
         Ok(r) => r,
-        Err(e) => {
+        Err(ConformError::Oracle(e)) => {
             eprintln!("inconclusive: {e}");
             return Ok(EXIT_INCONCLUSIVE);
         }
+        Err(e) => return Err(e.into()),
     };
     print_report(&r);
     Ok(if r.sound() { EXIT_CLEAN } else { EXIT_FINDING })

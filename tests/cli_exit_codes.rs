@@ -72,6 +72,34 @@ fn usage_errors_exit_2_and_internal_errors_exit_101() {
     assert_eq!(code(&drfrlx(&["conform", "--fuzz", "0"])), 101);
 }
 
+/// A scratch address the litmus lowering cannot bound is user input:
+/// one `error:` line naming the program and the expression, exit 101,
+/// never a panic.
+#[test]
+fn conform_rejects_an_unlowerable_program_without_panicking() {
+    let bad = litmus_file(
+        "scratch_reg.litmus",
+        "litmus scratch_reg\n\
+         thread t0 { r0 = load.data x; sstore r0 1; barrier; }\n\
+         thread t1 { barrier; r1 = sload 0; observe r1; }\n",
+    );
+    let negative =
+        litmus_file("scratch_neg.litmus", "litmus scratch_neg\nthread t0 { sstore (-1) 1; }\n");
+    for (file, expr) in [(&bad, "`r0`"), (&negative, "`-1`")] {
+        for extra in [&[][..], &["--timeout-secs", "60"]] {
+            let mut args = vec!["conform", file.to_str().unwrap(), "--schedules", "2"];
+            args.extend_from_slice(extra);
+            let out = drfrlx(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(code(&out), 101, "{stderr}");
+            assert!(!stderr.contains("panicked"), "{stderr}");
+            assert_eq!(stderr.lines().count(), 1, "one error line: {stderr}");
+            assert!(stderr.starts_with("error: "), "{stderr}");
+            assert!(stderr.contains("scratch_") && stderr.contains(expr), "{stderr}");
+        }
+    }
+}
+
 #[test]
 fn check_checkpoint_resume_round_trips_byte_for_byte() {
     let wide = litmus_file("wide_resume.litmus", WIDE);
