@@ -1,11 +1,16 @@
 //! Benchmarks for the substrate crates: NoC message timelines, cache
-//! arrays, and relation algebra. Plain `harness = false` timing
-//! (offline-friendly).
+//! arrays, relation algebra, and the fixed cost every simulation run
+//! pays (building a memory system; one whole conformance run). Plain
+//! `harness = false` timing (offline-friendly).
 
 use drfrlx_bench::timing::{bench, TimingConfig};
+use drfrlx_conform::{compile, schedule_params, table1_corpus};
 use drfrlx_core::relation::Relation;
+use drfrlx_core::{Protocol, SystemConfig};
+use hsim_coherence::{MemSysParams, MemorySystem};
 use hsim_mem::{Cache, CacheParams, LineAddr};
 use hsim_noc::{Mesh, NocParams, NodeId};
+use hsim_sys::{run_workload, SysParams};
 
 fn main() {
     let cfg = TimingConfig::default();
@@ -31,6 +36,24 @@ fn main() {
         }
         hits
     });
+
+    // Per-run set-up: a Table-2 memory system is built and dropped by
+    // every simulation run, however short.
+    let table2 = MemSysParams::default();
+    for protocol in Protocol::WITH_EXTENSIONS {
+        bench(&format!("memsys/new_drop/{protocol:?}"), &cfg, || {
+            MemorySystem::new(protocol, table2.clone()).protocol()
+        });
+    }
+
+    // One conformance run: a compiled Table-1 program under one config
+    // and one perturbed schedule — the unit `conform` repeats ~53k
+    // times per pass over its corpus.
+    let (_, program) = &table1_corpus()[0];
+    let shape = compile(program);
+    let config = SystemConfig::from_abbrev("DDR").expect("DDR is a config");
+    let params = schedule_params(&SysParams::integrated(), 1, 1);
+    bench("conform/one_run", &cfg, || run_workload(&shape, config, &params).cycles);
 
     let n = 24;
     let r = Relation::from_pairs(n, (0..n - 1).map(|i| (i, i + 1)));

@@ -3,6 +3,7 @@
 
 use crate::LineAddr;
 use std::fmt::Debug;
+use std::ops::Range;
 
 /// Identifies a line within the array (set, way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +86,14 @@ pub struct EvictedLine<S> {
 /// which lines are victims (`insert` evicts LRU) and what to do with
 /// evicted state.
 ///
+/// Storage is one flat slot arena plus a per-set `(base, len)` index.
+/// A set claims `ways` contiguous slots on its first insert and holds
+/// its resident lines in `slots[base..base + len]`, in insertion order.
+/// The index is allocated on the cache's first insert, so building a
+/// cache — or looking lines up in one that was never filled — allocates
+/// nothing, and a simulation run pays only for the sets it touches.
+/// The arena never grows beyond `sets × ways` slots.
+///
 /// ```
 /// use hsim_mem::{Cache, CacheParams, LineAddr};
 ///
@@ -98,34 +107,68 @@ pub struct EvictedLine<S> {
 #[derive(Debug, Clone)]
 pub struct Cache<S> {
     params: CacheParams,
-    sets: Vec<Va<S>>,
+    /// Per set: (first claimed slot, resident ways); `UNCLAIMED` until
+    /// the set's first insert. Empty until the cache's first insert.
+    index: Vec<(u32, u32)>,
+    /// Claimed slots, `ways` per set; those past a set's `len` are stale.
+    slots: Vec<Way<S>>,
     clock: u64,
     stats: CacheStats,
 }
 
-type Va<S> = Vec<Way<S>>;
+const UNCLAIMED: u32 = u32::MAX;
 
 impl<S: Clone + Debug> Cache<S> {
-    /// Create an empty cache.
+    /// Create an empty cache. Allocates nothing until the first insert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has no sets or no ways, or if its
+    /// `sets × ways` slots do not fit the 32-bit slot index.
     pub fn new(params: CacheParams) -> Cache<S> {
-        let sets = (0..params.sets).map(|_| Vec::new()).collect();
-        Cache { params, sets, clock: 0, stats: CacheStats::default() }
+        let CacheParams { sets, ways } = params;
+        assert!(sets > 0, "cache geometry {sets} sets x {ways} ways has no sets");
+        assert!(ways > 0, "cache geometry {sets} sets x {ways} ways has no ways");
+        assert!(
+            sets.checked_mul(ways).is_some_and(|n| n < UNCLAIMED as usize),
+            "cache geometry {sets} sets x {ways} ways overflows the slot index"
+        );
+        Cache {
+            params,
+            index: Vec::new(),
+            slots: Vec::new(),
+            clock: 0,
+            stats: CacheStats::default(),
+        }
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
         (line.0 as usize) % self.params.sets
     }
 
+    /// Slot range of the lines resident in `set` (empty if unclaimed).
+    fn resident(&self, set: usize) -> Range<usize> {
+        match self.index.get(set) {
+            Some(&(base, len)) if len > 0 => base as usize..(base + len) as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// Slot holding `line`, if resident.
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let r = self.resident(self.set_of(line));
+        let start = r.start;
+        self.slots[r].iter().position(|w| w.tag == line).map(|i| start + i)
+    }
+
     /// Look up a line; hits bump LRU. Counted in the statistics.
     pub fn lookup(&mut self, line: LineAddr) -> Option<&mut S> {
         self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_of(line);
-        let found = self.sets[set].iter_mut().find(|w| w.tag == line);
-        match found {
-            Some(w) => {
-                w.lru = clock;
+        match self.find(line) {
+            Some(i) => {
                 self.stats.hits += 1;
+                let w = &mut self.slots[i];
+                w.lru = self.clock;
                 Some(&mut w.state)
             }
             None => {
@@ -137,8 +180,7 @@ impl<S: Clone + Debug> Cache<S> {
 
     /// Peek without touching LRU or statistics.
     pub fn peek(&self, line: LineAddr) -> Option<&S> {
-        let set = self.set_of(line);
-        self.sets[set].iter().find(|w| w.tag == line).map(|w| &w.state)
+        self.find(line).map(|i| &self.slots[i].state)
     }
 
     /// Insert (or overwrite) a line, evicting LRU if the set is full.
@@ -152,36 +194,40 @@ impl<S: Clone + Debug> Cache<S> {
         pinned: impl Fn(&S) -> bool,
     ) -> Option<EvictedLine<S>> {
         self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_of(line);
-        if let Some(w) = self.sets[set].iter_mut().find(|w| w.tag == line) {
-            w.state = state;
-            w.lru = clock;
+        let way = Way { tag: line, state, lru: self.clock };
+        if let Some(i) = self.find(line) {
+            self.slots[i] = way;
             return None;
         }
-        if self.sets[set].len() < self.params.ways {
-            self.sets[set].push(Way { tag: line, state, lru: clock });
+        let ways = self.params.ways;
+        if self.index.is_empty() {
+            self.index = vec![(UNCLAIMED, 0); self.params.sets];
+        }
+        let set = self.set_of(line);
+        let (base, len) = &mut self.index[set];
+        if *base == UNCLAIMED {
+            *base = self.slots.len() as u32;
+            self.slots.resize(self.slots.len() + ways, way.clone());
+        }
+        let (base, len_now) = (*base as usize, *len as usize);
+        if len_now < ways {
+            *len += 1;
+            self.slots[base + len_now] = way;
             return None;
         }
         // Choose LRU among unpinned ways; if all pinned, evict absolute
         // LRU anyway (structural necessity).
-        let victim = self.sets[set]
+        let set_slots = &mut self.slots[base..base + ways];
+        let victim = set_slots
             .iter()
             .enumerate()
             .filter(|(_, w)| !pinned(&w.state))
             .min_by_key(|(_, w)| w.lru)
+            .or_else(|| set_slots.iter().enumerate().min_by_key(|(_, w)| w.lru))
             .map(|(i, _)| i)
-            .unwrap_or_else(|| {
-                self.sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.lru)
-                    .map(|(i, _)| i)
-                    .expect("set is full")
-            });
+            .expect("a full set has ways");
         self.stats.evictions += 1;
-        let old =
-            std::mem::replace(&mut self.sets[set][victim], Way { tag: line, state, lru: clock });
+        let old = std::mem::replace(&mut set_slots[victim], way);
         Some(EvictedLine { line: old.tag, state: old.state })
     }
 
@@ -190,39 +236,52 @@ impl<S: Clone + Debug> Cache<S> {
         self.insert_with_pin(line, state, |_| false)
     }
 
-    /// Remove a specific line, returning its state.
+    /// Remove a specific line, returning its state. The set's other
+    /// lines keep their order.
     pub fn remove(&mut self, line: LineAddr) -> Option<S> {
+        let i = self.find(line)?;
         let set = self.set_of(line);
-        let i = self.sets[set].iter().position(|w| w.tag == line)?;
-        Some(self.sets[set].remove(i).state)
+        let end = self.resident(set).end;
+        self.slots[i..end].rotate_left(1);
+        self.index[set].1 -= 1;
+        Some(self.slots[end - 1].state.clone())
     }
 
     /// Invalidate every line for which `victim` returns true (flash /
-    /// self-invalidation); returns how many were dropped.
+    /// self-invalidation); returns how many were dropped. Surviving
+    /// lines keep their order within each set.
     pub fn invalidate_where(&mut self, victim: impl Fn(&LineAddr, &S) -> bool) -> u64 {
         let mut n = 0;
-        for set in &mut self.sets {
-            set.retain(|w| {
-                if victim(&w.tag, &w.state) {
+        for (base, len) in &mut self.index {
+            if *len == 0 {
+                continue;
+            }
+            let ways = &mut self.slots[*base as usize..][..*len as usize];
+            let mut kept = 0;
+            for i in 0..ways.len() {
+                if victim(&ways[i].tag, &ways[i].state) {
                     n += 1;
-                    false
                 } else {
-                    true
+                    ways.swap(kept, i);
+                    kept += 1;
                 }
-            });
+            }
+            *len = kept as u32;
         }
         self.stats.invalidations += n;
         n
     }
 
-    /// Iterate over all resident lines.
+    /// Iterate over all resident lines, set by set.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &S)> + '_ {
-        self.sets.iter().flatten().map(|w| (w.tag, &w.state))
+        (0..self.index.len())
+            .flat_map(move |set| &self.slots[self.resident(set)])
+            .map(|w| (w.tag, &w.state))
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.index.iter().map(|&(_, len)| len as usize).sum()
     }
 
     /// Is the cache empty?
@@ -249,6 +308,38 @@ mod tests {
     fn capacity_geometry() {
         let p = CacheParams::with_capacity(32 * 1024, 64, 8);
         assert_eq!(p.sets * p.ways * 64, 32 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache geometry 0 sets x 8 ways has no sets")]
+    fn geometry_without_sets_is_rejected() {
+        // 32 bytes of 64-byte lines: no line fits.
+        let _: Cache<u8> = Cache::new(CacheParams::with_capacity(32, 64, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "cache geometry 4 sets x 0 ways has no ways")]
+    fn geometry_without_ways_is_rejected() {
+        let _: Cache<u8> = Cache::new(CacheParams { sets: 4, ways: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "cache geometry 1048576 sets x 4096 ways overflows the slot index")]
+    fn geometry_beyond_the_slot_index_is_rejected() {
+        let _: Cache<u8> = Cache::new(CacheParams { sets: 1 << 20, ways: 1 << 12 });
+    }
+
+    #[test]
+    fn untouched_cache_allocates_nothing() {
+        let mut c: Cache<u8> = Cache::new(CacheParams { sets: 256, ways: 16 });
+        assert!(c.lookup(LineAddr(3)).is_none());
+        assert!(c.peek(LineAddr(3)).is_none());
+        assert_eq!(c.remove(LineAddr(3)), None);
+        assert_eq!(c.invalidate_where(|_, _| true), 0);
+        assert_eq!((c.index.capacity(), c.slots.capacity()), (0, 0));
+        c.insert(LineAddr(3), 1);
+        c.insert(LineAddr(259), 2);
+        assert_eq!(c.slots.len(), 16, "one set claims its ways, no more");
     }
 
     #[test]

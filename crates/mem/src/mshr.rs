@@ -9,7 +9,6 @@
 
 use crate::{Cycle, LineAddr};
 use hsim_trace::{EventKind, NoTrace, Trace, TraceEvent};
-use std::collections::BTreeMap;
 
 /// Result of trying to allocate an MSHR entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +26,11 @@ pub enum MshrOutcome {
 
 /// A fixed-capacity MSHR file keyed by line address.
 ///
+/// Entries live in one flat vector of `(line, completion)` pairs,
+/// bounded by the capacity and scanned linearly (every request already
+/// retires completed entries in one pass). A new file allocates
+/// nothing until its first request.
+///
 /// ```
 /// use hsim_mem::{LineAddr, Mshr, MshrOutcome};
 ///
@@ -39,8 +43,9 @@ pub enum MshrOutcome {
 #[derive(Debug, Clone)]
 pub struct Mshr<T: Trace = NoTrace> {
     capacity: usize,
-    /// line -> completion cycle of the outstanding request.
-    inflight: BTreeMap<LineAddr, Cycle>,
+    /// (line, completion cycle) of each outstanding request; at most
+    /// one entry per line.
+    inflight: Vec<(LineAddr, Cycle)>,
     allocated: u64,
     coalesced: u64,
     full_stalls: u64,
@@ -72,7 +77,7 @@ impl<T: Trace> Mshr<T> {
         assert!(capacity > 0, "MSHR needs at least one entry");
         Mshr {
             capacity,
-            inflight: BTreeMap::new(),
+            inflight: Vec::new(),
             allocated: 0,
             coalesced: 0,
             full_stalls: 0,
@@ -83,7 +88,7 @@ impl<T: Trace> Mshr<T> {
 
     /// Retire every entry whose request completed at or before `now`.
     pub fn expire(&mut self, now: Cycle) {
-        self.inflight.retain(|_, done| *done > now);
+        self.inflight.retain(|&(_, done)| done > now);
     }
 
     /// Try to allocate (or merge into) an entry for `line` at `now`.
@@ -91,7 +96,7 @@ impl<T: Trace> Mshr<T> {
     /// [`Mshr::set_completion`] once it knows when the request finishes.
     pub fn request(&mut self, now: Cycle, line: LineAddr) -> MshrOutcome {
         self.expire(now);
-        if let Some(done) = self.inflight.get(&line) {
+        if let Some(done) = self.completion(line) {
             self.coalesced += 1;
             if T::ENABLED {
                 self.tracer.record(TraceEvent::new(
@@ -103,11 +108,11 @@ impl<T: Trace> Mshr<T> {
                     done.saturating_sub(now),
                 ));
             }
-            return MshrOutcome::Coalesced(*done);
+            return MshrOutcome::Coalesced(done);
         }
         if self.inflight.len() >= self.capacity {
             self.full_stalls += 1;
-            let earliest = self.inflight.values().copied().min().unwrap_or(now);
+            let earliest = self.inflight.iter().map(|&(_, done)| done).min().unwrap_or(now);
             if T::ENABLED {
                 self.tracer.record(TraceEvent::new(
                     EventKind::MshrStall,
@@ -121,7 +126,7 @@ impl<T: Trace> Mshr<T> {
             return MshrOutcome::Full(earliest);
         }
         self.allocated += 1;
-        self.inflight.insert(line, Cycle::MAX);
+        self.inflight.push((line, Cycle::MAX));
         MshrOutcome::Allocated
     }
 
@@ -131,13 +136,18 @@ impl<T: Trace> Mshr<T> {
     /// simulator installs state at issue time).
     pub fn pending(&mut self, now: Cycle, line: LineAddr) -> Option<Cycle> {
         self.expire(now);
-        self.inflight.get(&line).copied()
+        self.completion(line)
+    }
+
+    /// Completion cycle of the entry for `line`, if one is live.
+    fn completion(&self, line: LineAddr) -> Option<Cycle> {
+        self.inflight.iter().find(|&&(l, _)| l == line).map(|&(_, done)| done)
     }
 
     /// Record when the outstanding request for `line` completes.
     pub fn set_completion(&mut self, line: LineAddr, done: Cycle) {
-        if let Some(d) = self.inflight.get_mut(&line) {
-            *d = done;
+        if let Some(entry) = self.inflight.iter_mut().find(|(l, _)| *l == line) {
+            entry.1 = done;
         }
     }
 
