@@ -14,20 +14,12 @@
 //! summary an uninterrupted run would have produced.
 
 use crate::fuzz::generate;
-use crate::harness::{
-    check_conformance_resilient, ConformOptions, ConformReport, ConformResilience,
-};
-use drfrlx_core::resilience::{EngineId, ExhaustReason, Fault, RunStatus};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use crate::harness::{check_conformance_outcome, ConformOptions, ConformReport, ConformResilience};
+use drfrlx_core::resilience::{Attempt, EngineId, ExhaustReason, Pool, RunStatus};
 
 /// Oracle `max_executions` multipliers tried per program, in order.
 /// A program is skipped only after the whole ladder is exhausted.
 pub const BUDGET_LADDER: [usize; 3] = [1, 4, 16];
-
-/// How long an injected stall waits for cancellation before the
-/// ladder rung fails on its own.
-const STALL_FALLBACK: Duration = Duration::from_millis(25);
 
 /// Checkpointable progress of a fuzz campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,22 +59,19 @@ impl CampaignState {
     }
 }
 
-/// What one program's ladder run amounted to.
-enum Ladder {
-    Verdict(ConformReport),
-    Skipped,
-    Abort(ExhaustReason),
-}
-
 /// Run (or resume) a fuzz campaign, mutating `state` as it goes.
 ///
-/// Every program runs under `catch_unwind` with the oracle budget
-/// ladder; `res.fault_plan` injects faults per
+/// The programs are units of the engine-shared [`Pool`] (serial, so
+/// the tallies and `on_violation` calls keep campaign order), and the
+/// pool's attempts are the rungs of the oracle [`BUDGET_LADDER`]: a
+/// rung whose oracle runs out of executions, or that panics, climbs to
+/// the next, and a program whose every rung fails is recorded as
+/// skipped. `res.fault_plan` injects faults per
 /// `(EngineId::Conform, program index, ladder rung)` on top of
 /// whatever it injects into the inner simulation sweeps. A tripped
 /// `res.budget` (deadline or cancellation) stops the campaign between
 /// programs and returns `Inconclusive` whose frontier holds the
-/// resume index — `state` is then a valid checkpoint.
+/// programs still to run — `state` is then a valid checkpoint.
 ///
 /// `on_violation` fires once per unsound program with its seed and
 /// report (the CLI prints and shrinks there).
@@ -92,84 +81,78 @@ pub fn resume_campaign(
     res: &ConformResilience,
     on_violation: &mut dyn FnMut(u64, &ConformReport),
 ) -> RunStatus {
-    while !state.done() {
-        let i = state.next_index;
-        if let Some(b) = &res.budget {
-            if let Err(reason) = b.check(0) {
-                return RunStatus::Inconclusive { reason, frontier: vec![i as usize] };
+    let start = state.next_index as usize;
+    let done: Vec<usize> = (0..start).collect();
+    let pool = Pool {
+        attempts: BUDGET_LADDER.len(),
+        budget: res.budget.as_deref(),
+        faults: res.fault_plan,
+        skip: &done,
+        ..Pool::new(EngineId::Conform, 1)
+    };
+    let run = pool.run(state.total as usize, &|i, rung| {
+        ladder_rung(state.seed.wrapping_add(i as u64), rung, opts, res)
+    });
+    for (i, slot) in run.results.into_iter().enumerate().skip(start) {
+        let seed = state.seed.wrapping_add(i as u64);
+        match slot {
+            Some(Some(report)) if report.sound() => state.sound += 1,
+            Some(Some(report)) => {
+                state.violations.push(seed);
+                on_violation(seed, &report);
             }
+            // An empty program, or one whose every rung failed: skipped,
+            // with its seed.
+            Some(None) => state.skipped.push(seed),
+            None if run.lost.binary_search(&i).is_ok() => state.skipped.push(seed),
+            // Never ran: the budget tripped here.
+            None => break,
         }
-        let seed = state.seed.wrapping_add(i);
-        match run_ladder(seed, i, opts, res) {
-            Ladder::Verdict(report) => {
-                if report.sound() {
-                    state.sound += 1;
-                } else {
-                    state.violations.push(seed);
-                    on_violation(seed, &report);
-                }
-            }
-            Ladder::Skipped => state.skipped.push(seed),
-            Ladder::Abort(reason) => {
-                return RunStatus::Inconclusive { reason, frontier: vec![i as usize] }
-            }
-        }
-        state.next_index = i + 1;
+        state.next_index = i as u64 + 1;
     }
-    RunStatus::Complete
+    match run.status {
+        RunStatus::Inconclusive { reason, .. } => RunStatus::Inconclusive {
+            reason,
+            frontier: (state.next_index as usize..state.total as usize).collect(),
+        },
+        _ => RunStatus::Complete,
+    }
 }
 
-/// One program through the budget ladder. Pure in `(seed, index)`
-/// given fixed options, so resumed campaigns replay identically.
-fn run_ladder(seed: u64, index: u64, opts: &ConformOptions, res: &ConformResilience) -> Ladder {
+/// One program on one rung of the budget ladder: `Done(Some(report))`
+/// for a verdict, `Done(None)` for a program that cannot be checked,
+/// `Failed` to climb. Pure in `(seed, rung)` given fixed options, so
+/// resumed campaigns replay identically.
+fn ladder_rung(
+    seed: u64,
+    rung: usize,
+    opts: &ConformOptions,
+    res: &ConformResilience,
+) -> Attempt<Option<ConformReport>> {
     let p = generate(seed);
     if p.threads().is_empty() {
-        return Ladder::Skipped;
+        return Attempt::Done(None);
     }
-    for (rung, mult) in BUDGET_LADDER.iter().enumerate() {
-        let fault = res
-            .fault_plan
-            .as_ref()
-            .and_then(|pl| pl.fault_for(EngineId::Conform, index as usize, rung));
-        match fault {
-            Some(Fault::Stall) => {
-                let cap = Instant::now() + STALL_FALLBACK;
-                while !res.budget.as_deref().is_some_and(drfrlx_core::Budget::cancelled)
-                    && Instant::now() < cap
-                {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                continue;
-            }
-            Some(Fault::Exhaust) => continue,
-            _ => {}
-        }
-        let mut rung_opts = opts.clone();
-        rung_opts.limits.max_executions = opts.limits.max_executions.saturating_mul(*mult);
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            if matches!(fault, Some(Fault::Panic)) {
-                panic!("injected fault: conform program {index} rung {rung}");
-            }
-            check_conformance_resilient(&p, &rung_opts, res)
-        }));
-        let Ok(out) = out else { continue };
-        // Generated programs use no scratch, so a non-empty one always
-        // lowers.
-        let Ok(out) = out else { return Ladder::Skipped };
-        if let RunStatus::Inconclusive {
-            reason: reason @ (ExhaustReason::Deadline | ExhaustReason::Cancelled),
-            ..
-        } = out.status
-        {
-            return Ladder::Abort(reason);
-        }
-        match out.report {
-            Some(report) => return Ladder::Verdict(report),
-            // Oracle exhausted its execution/memory budget: climb.
-            None => continue,
-        }
+    let mut rung_opts = opts.clone();
+    rung_opts.limits.max_executions =
+        opts.limits.max_executions.saturating_mul(BUDGET_LADDER[rung]);
+    // Generated programs use no scratch, so a non-empty one always
+    // lowers.
+    let Ok(out) = check_conformance_outcome(&p, &rung_opts, res) else {
+        return Attempt::Done(None);
+    };
+    if let RunStatus::Inconclusive {
+        reason: reason @ (ExhaustReason::Deadline | ExhaustReason::Cancelled),
+        ..
+    } = out.status
+    {
+        return Attempt::Exhausted(reason);
     }
-    Ladder::Skipped
+    match out.report {
+        Some(report) => Attempt::Done(Some(report)),
+        // Oracle exhausted its execution/memory budget: climb.
+        None => Attempt::Failed,
+    }
 }
 
 /// The campaign summary printed by `drfrlx conform --fuzz`. Skipped
@@ -254,7 +237,10 @@ mod tests {
         let status = resume_campaign(&mut state, &quick_opts(), &res, &mut |_, _| {});
         assert_eq!(
             status,
-            RunStatus::Inconclusive { reason: ExhaustReason::Cancelled, frontier: vec![0] }
+            RunStatus::Inconclusive {
+                reason: ExhaustReason::Cancelled,
+                frontier: vec![0, 1, 2, 3]
+            }
         );
         assert_eq!(state.next_index, 0, "nothing ran; the checkpoint resumes from the start");
     }

@@ -16,9 +16,13 @@
 //!   that the schedule family is too tame to exercise the program.
 //!
 //! Everything here is deterministic: jobs are laid out config-major ×
-//! schedule-minor, `run_matrix` returns reports in job order
-//! regardless of worker count, outcome sets are `BTreeSet`s, and the
-//! oracle's shard set depends only on the program.
+//! schedule-minor, the sweep returns reports in job order regardless
+//! of worker count, outcome sets are `BTreeSet`s, and the oracle's
+//! shard set depends only on the program.
+//!
+//! There is one execution path, [`check_conformance_outcome`]; a
+//! budget and a fault plan are values of its [`ConformResilience`],
+//! and [`check_conformance`] is its strict view.
 
 use crate::compile::{try_compile, CompiledLitmus};
 use crate::outcome::{allowed_outcomes, Outcome};
@@ -26,10 +30,10 @@ use crate::schedule::schedule_params;
 use drfrlx_bridge::LowerError;
 use drfrlx_core::exec::{EnumError, EnumLimits, EnumStats};
 use drfrlx_core::program::Program;
-use drfrlx_core::resilience::{Budget, FaultPlan, RunStatus};
+use drfrlx_core::resilience::{strict, Panic, RunStatus};
 use drfrlx_core::{MemoryModel, SystemConfig};
 use drfrlx_litmus::{all_tests, Category};
-use hsim_sys::{run_matrix, run_matrix_resilient, MatrixResilience, RunReport, SimJob, SysParams};
+use hsim_sys::{run_matrix_outcome, MatrixResilience, RunReport, SimJob, SysParams};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -210,24 +214,6 @@ pub fn report_from_runs(
     fold_report(shape, opts, &opts.limits, &|i| reports.get(i))
 }
 
-/// [`report_from_runs`] over a partial sweep: `None` slots (jobs lost
-/// to a panic or never run under a tripped budget) simply contribute
-/// no observed outcome. Since the verdict is `observed ⊆ allowed`, a
-/// partial observed set can only under-report coverage — it never
-/// invents a violation.
-///
-/// # Errors
-///
-/// Returns the oracle's [`EnumError`] when it cannot enumerate the
-/// program within `opts.limits`.
-pub fn report_from_partial_runs(
-    shape: &CompiledLitmus,
-    opts: &ConformOptions,
-    reports: &[Option<RunReport>],
-) -> Result<ConformReport, EnumError> {
-    fold_report(shape, opts, &opts.limits, &|i| reports.get(i).and_then(Option::as_ref))
-}
-
 /// Shared fold: oracle + per-config observed sets, with the report for
 /// job `i` looked up through `report_at` (absent reports are skipped).
 fn fold_report<'a>(
@@ -254,42 +240,34 @@ fn fold_report<'a>(
     Ok(ConformReport { name: shape.program.name().to_string(), allowed, oracle_stats, verdicts })
 }
 
-/// Run the full conformance loop for one program.
+/// Run the full conformance loop for one program — the strict view of
+/// [`check_conformance_outcome`] with no budget and no fault plan.
 ///
 /// # Errors
 ///
 /// [`ConformError::Lower`] when the program cannot be lowered onto the
 /// simulator; [`ConformError::Oracle`] when the oracle cannot
 /// enumerate it within `opts.limits` (the simulation side ran by then,
-/// but without an allowed set there is no verdict).
+/// but without an allowed set there is no verdict). A simulation job
+/// that panics on its retry too re-raises its panic.
 pub fn check_conformance(
     p: &Program,
     opts: &ConformOptions,
 ) -> Result<ConformReport, ConformError> {
-    let shape = try_compile(p)?;
-    let jobs = conform_jobs(&shape, opts);
-    let reports = run_matrix(&jobs, opts.threads);
-    Ok(report_from_runs(&shape, opts, &reports)?)
+    let out = check_conformance_outcome(p, opts, &ConformResilience::default())?;
+    strict(&out.status, out.panic).map_err(|r| ConformError::Oracle(r.into()))?;
+    Ok(out.report.expect("a complete run has an oracle"))
 }
 
-/// Resilience controls for a conformance run. The default — no
-/// budget, no fault plan — behaves like [`check_conformance`] except
-/// that a panicking simulation job degrades the run instead of
-/// aborting it.
-#[derive(Clone, Default)]
-pub struct ConformResilience {
-    /// Shared resource budget. Applied to the simulation matrix at
-    /// job-claim granularity and (unless `opts.limits.budget` already
-    /// carries one) to the axiomatic oracle's enumerator.
-    pub budget: Option<Arc<Budget>>,
-    /// Deterministic fault injection (chaos testing only). Simulation
-    /// jobs are faulted under `EngineId::Sweep`, fuzz-campaign
-    /// iterations under `EngineId::Conform`.
-    pub fault_plan: Option<FaultPlan>,
-}
+/// Resilience controls for a conformance run: the sweep's policy. The
+/// budget also bounds the axiomatic oracle's enumerator (unless
+/// `opts.limits.budget` already carries one); the fault plan faults
+/// simulation jobs under `EngineId::Sweep` and fuzz-campaign programs
+/// under `EngineId::Conform`. The default — no budget, no fault plan —
+/// is the plain run.
+pub type ConformResilience = MatrixResilience;
 
-/// The outcome of a resilient conformance run.
-#[derive(Clone)]
+/// The outcome of a conformance run.
 pub struct ConformOutcome {
     /// The report, when the oracle produced an allowed set. `None`
     /// only when the oracle itself was exhausted — without an allowed
@@ -300,46 +278,46 @@ pub struct ConformOutcome {
     /// missing; an oracle failure maps to `Inconclusive` with an
     /// empty frontier.
     pub status: RunStatus,
+    /// The panic of the first lost simulation job, for strict callers
+    /// to re-raise.
+    pub panic: Option<Panic>,
 }
 
-/// [`check_conformance`], resilient: the simulation matrix runs
-/// through [`run_matrix_resilient`] (per-job `catch_unwind` + one
-/// retry, budget polled between job claims, deterministic fault
-/// injection), and an oracle enumeration failure becomes a structured
-/// `Inconclusive` status instead of an `Err`. Never panics.
+/// The conformance harness's one execution path: the simulation
+/// matrix runs through [`run_matrix_outcome`] (per-job `catch_unwind`
+/// with one retry, budget polled before every attempt, deterministic
+/// fault injection), and an oracle enumeration failure becomes a
+/// structured `Inconclusive` status instead of an `Err`.
 ///
-/// A `Degraded` report is still meaningful: lost jobs only shrink the
-/// observed sets, so soundness verdicts on the surviving observations
-/// remain valid (prefix-soundness — see [`report_from_partial_runs`]).
+/// A `Degraded` report is still meaningful: lost jobs contribute no
+/// observed outcome, and since the verdict is `observed ⊆ allowed`, a
+/// partial observed set can only under-report coverage — it never
+/// invents a violation (prefix-soundness).
 ///
 /// # Errors
 ///
 /// Fails, before anything runs, when the program cannot be lowered
 /// onto the simulator.
-pub fn check_conformance_resilient(
+pub fn check_conformance_outcome(
     p: &Program,
     opts: &ConformOptions,
     res: &ConformResilience,
 ) -> Result<ConformOutcome, LowerError> {
     let shape = try_compile(p)?;
     let jobs = conform_jobs(&shape, opts);
-    let matrix = run_matrix_resilient(
-        &jobs,
-        opts.threads,
-        &MatrixResilience { budget: res.budget.clone(), fault_plan: res.fault_plan },
-    );
+    let matrix = run_matrix_outcome(&jobs, opts.threads, res);
     let mut limits = opts.limits.clone();
     if limits.budget.is_none() {
         limits.budget = res.budget.clone();
     }
     let report_at = |i: usize| matrix.reports.get(i).and_then(Option::as_ref);
-    Ok(match fold_report(&shape, opts, &limits, &report_at) {
-        Ok(report) => ConformOutcome { report: Some(report), status: matrix.status },
-        Err(e) => ConformOutcome {
-            report: None,
-            status: RunStatus::Inconclusive { reason: e.exhaust_reason(), frontier: Vec::new() },
-        },
-    })
+    let (report, status) = match fold_report(&shape, opts, &limits, &report_at) {
+        Ok(report) => (Some(report), matrix.status),
+        Err(e) => {
+            (None, RunStatus::Inconclusive { reason: e.exhaust_reason(), frontier: Vec::new() })
+        }
+    };
+    Ok(ConformOutcome { report, status, panic: matrix.panic })
 }
 
 /// Is `p` *demonstrably* unsound under `opts` — i.e. did some
@@ -490,26 +468,44 @@ mod tests {
     }
 
     #[test]
-    fn resilient_run_matches_the_plain_harness() {
-        let opts = quick_opts();
+    fn parallel_outcome_matches_the_serial_strict_view() {
         let mut p = Program::new("pair");
         p.thread().store(OpClass::Paired, "x", 1);
         p.thread().load(OpClass::Paired, "x");
         let p = p.build();
-        let plain = check_conformance(&p, &opts).unwrap();
-        let out = check_conformance_resilient(&p, &opts, &ConformResilience::default()).unwrap();
+        let serial = check_conformance(&p, &quick_opts()).unwrap();
+        let opts = ConformOptions { threads: 2, ..quick_opts() };
+        let out = check_conformance_outcome(&p, &opts, &ConformResilience::default()).unwrap();
         assert_eq!(out.status, RunStatus::Complete);
         let r = out.report.expect("complete run carries a report");
-        assert_eq!(r.allowed, plain.allowed);
-        assert_eq!(r.sound(), plain.sound());
-        for (a, b) in r.verdicts.iter().zip(&plain.verdicts) {
+        assert_eq!(r.allowed, serial.allowed);
+        assert_eq!(r.oracle_stats, serial.oracle_stats);
+        assert_eq!(r.verdicts.len(), serial.verdicts.len());
+        for (a, b) in r.verdicts.iter().zip(&serial.verdicts) {
+            assert_eq!(a.config, b.config);
             assert_eq!(a.observed, b.observed, "{}", a.config);
+            assert_eq!(a.violations, b.violations, "{}", a.config);
+        }
+    }
+
+    #[test]
+    fn an_exhausted_oracle_is_an_oracle_error_in_the_strict_view() {
+        let opts = ConformOptions {
+            limits: EnumLimits { max_executions: 1, ..EnumLimits::default() },
+            ..quick_opts()
+        };
+        let mut p = Program::new("two");
+        p.thread().store(OpClass::Data, "x", 1);
+        p.thread().store(OpClass::Data, "x", 2);
+        match check_conformance(&p.build(), &opts) {
+            Err(ConformError::Oracle(EnumError::TooManyExecutions { limit: 1 })) => {}
+            other => panic!("expected an oracle error, got {:?}", other.map(|r| r.name)),
         }
     }
 
     #[test]
     fn a_lost_simulation_job_degrades_but_stays_sound() {
-        use drfrlx_core::resilience::{EngineId, Fault};
+        use drfrlx_core::resilience::{EngineId, Fault, FaultPlan};
         let opts = quick_opts();
         let mut p = Program::new("one");
         p.thread().store(OpClass::Data, "x", 1);
@@ -519,7 +515,7 @@ mod tests {
             // Job 0 panics on both attempts and is lost.
             fault_plan: Some(FaultPlan::pinned(EngineId::Sweep, 0, 2, Fault::Panic)),
         };
-        let out = check_conformance_resilient(&p, &opts, &res).unwrap();
+        let out = check_conformance_outcome(&p, &opts, &res).unwrap();
         assert_eq!(out.status, RunStatus::Degraded { lost: vec![0] });
         let r = out.report.expect("a degraded run still has an oracle and a verdict");
         assert!(r.sound(), "missing observations cannot invent a violation");
@@ -536,7 +532,7 @@ mod tests {
         p.thread().store(OpClass::Data, "x", 1);
         p.thread().store(OpClass::Data, "x", 2);
         let p = p.build();
-        let out = check_conformance_resilient(&p, &opts, &ConformResilience::default()).unwrap();
+        let out = check_conformance_outcome(&p, &opts, &ConformResilience::default()).unwrap();
         assert!(out.report.is_none());
         match out.status {
             RunStatus::Inconclusive { reason: ExhaustReason::Executions { .. }, .. } => {}
@@ -554,7 +550,7 @@ mod tests {
             Err(ConformError::Lower(e)) => assert_eq!(e.program, "bad"),
             other => panic!("expected a lowering error, got {:?}", other.map(|r| r.name)),
         }
-        assert!(check_conformance_resilient(&p, &opts, &ConformResilience::default()).is_err());
+        assert!(check_conformance_outcome(&p, &opts, &ConformResilience::default()).is_err());
         assert!(!is_unsound(&p, &opts));
         assert!(!is_unsound(&Program::new("empty"), &opts));
     }

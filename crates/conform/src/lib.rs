@@ -34,9 +34,9 @@ pub use campaign::{render_summary, resume_campaign, CampaignState, BUDGET_LADDER
 pub use compile::{compile, try_compile, CompiledLitmus};
 pub use fuzz::generate;
 pub use harness::{
-    check_conformance, check_conformance_resilient, conform_jobs, is_unsound, render_corpus,
-    report_from_partial_runs, report_from_runs, run_corpus, run_template_corpus, table1_corpus,
-    ConfigVerdict, ConformError, ConformOptions, ConformOutcome, ConformReport, ConformResilience,
+    check_conformance, check_conformance_outcome, conform_jobs, is_unsound, render_corpus,
+    report_from_runs, run_corpus, run_template_corpus, table1_corpus, ConfigVerdict, ConformError,
+    ConformOptions, ConformOutcome, ConformReport, ConformResilience,
 };
 pub use outcome::{allowed_outcomes, Outcome};
 pub use schedule::schedule_params;

@@ -15,23 +15,25 @@
 //!   non-ordering, quantum and speculative races, detected on the
 //!   quantum-equivalent program when quantum atomics are present.
 //!
-//! The default path ([`check_program_with`]) runs the sharded streaming
-//! enumerator with sleep-set partial-order reduction: executions are
-//! analyzed as they complete, nothing is materialized, and the check
-//! exits early once every [`crate::races::attainable_kinds`] kind has a
-//! witness (the verdict can no longer change). The materializing
+//! The one execution path ([`check_program_outcome`], read strictly by
+//! [`check_program_with`]) runs the sharded streaming enumerator with
+//! sleep-set partial-order reduction: executions are analyzed as they
+//! complete, nothing is materialized, and the check exits early once
+//! every [`crate::races::attainable_kinds`] kind has a witness (the
+//! verdict can no longer change). Budgets, fault plans and checkpoints
+//! are values of that path, not a second one. The materializing
 //! pre-streaming behavior survives as [`check_program_reference`] for
 //! differential testing and benchmarking.
 
 use crate::classes::{MemoryModel, OpClass};
 use crate::exec::{
-    enumerate_sc, enumerate_sc_quantum, visit_sc_resilient, visit_sc_sharded, EnumError,
-    EnumLimits, EnumStats, Execution, ExecutionVisitor, Reduction, ResilienceOptions,
+    enumerate_sc, enumerate_sc_quantum, visit_sc_outcome, EnumError, EnumLimits, EnumStats,
+    Execution, ExecutionVisitor, Reduction, ResilienceOptions,
 };
 use crate::program::Program;
 use crate::quantum::has_quantum;
 use crate::races::{attainable_kinds, Race, RaceDetector, RaceKind};
-use crate::resilience::{FaultPlan, RunStatus};
+use crate::resilience::{strict, FaultPlan, Panic, RunStatus};
 use std::collections::BTreeSet;
 
 /// The verdict of a whole-program check.
@@ -169,7 +171,7 @@ struct RaceCollector<'p> {
     early_exit: bool,
     explored: usize,
     keys: BTreeSet<RaceKey>,
-    races: Vec<(RaceKey, FoundRace)>,
+    races: Vec<FoundRace>,
     found_kinds: BTreeSet<RaceKind>,
 }
 
@@ -204,21 +206,18 @@ impl ExecutionVisitor for RaceCollector<'_> {
             let key = (race.kind, pair[0], pair[1]);
             if self.keys.insert(key) {
                 self.found_kinds.insert(race.kind);
-                self.races.push((
+                self.races.push(FoundRace {
+                    exec_index: self.explored,
                     key,
-                    FoundRace {
-                        exec_index: self.explored,
-                        key,
-                        description: format!(
-                            "{}: {} between {} and {}",
-                            self.view.name(),
-                            race.kind,
-                            crate::pretty::event_label(self.view, ea),
-                            crate::pretty::event_label(self.view, eb),
-                        ),
-                        race,
-                    },
-                ));
+                    description: format!(
+                        "{}: {} between {} and {}",
+                        self.view.name(),
+                        race.kind,
+                        crate::pretty::event_label(self.view, ea),
+                        crate::pretty::event_label(self.view, eb),
+                    ),
+                    race,
+                });
             }
         }
         self.explored += 1;
@@ -228,8 +227,9 @@ impl ExecutionVisitor for RaceCollector<'_> {
 
 /// Check `p` against `model` on the streaming pipeline, with explicit
 /// options: sharded enumeration, partial-order reduction, parallel
-/// workers and early exit. The report is deterministic — identical at
-/// any `threads`.
+/// workers and early exit. The strict view of
+/// [`check_program_outcome`] for a fresh, fault-free run; the report
+/// is deterministic — identical at any `threads`.
 ///
 /// # Errors
 ///
@@ -239,54 +239,16 @@ pub fn check_program_with(
     model: MemoryModel,
     opts: &CheckOptions,
 ) -> Result<CheckReport, EnumError> {
-    let view = model_view(p, model);
-    let quantum = model == MemoryModel::Drfrlx && has_quantum(&view);
-    let attainable = attainable_kinds(&view);
-    // More workers than cores is pure oversubscription: the shards are
-    // CPU-bound and the report is worker-count-invariant, so extra
-    // threads can only add scheduling overhead.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let run = visit_sc_sharded(
-        &view,
-        &opts.limits,
-        quantum,
-        opts.reduction,
-        opts.threads.min(cores.max(1)),
-        &|| RaceCollector::new(&view, &attainable, opts.early_exit),
-        &|v: &RaceCollector| opts.early_exit && v.saturated(),
-    )?;
-    // Deterministic merge: shards in DFS-frontier order, races deduped
-    // by static key, execution indices offset by prior shards' work.
-    let mut keys: BTreeSet<RaceKey> = BTreeSet::new();
-    let mut races: Vec<FoundRace> = Vec::new();
-    let mut offset = 0;
-    for (v, stats) in run.shards {
-        for (key, mut f) in v.races {
-            if keys.insert(key) {
-                f.exec_index += offset;
-                races.push(f);
-            }
-        }
-        offset += stats.explored;
-    }
-    let verdict = if races.is_empty() { Verdict::RaceFree } else { Verdict::Racy };
-    Ok(CheckReport {
-        program: p.name().to_string(),
-        model,
-        executions: run.stats.explored,
-        pruned: run.stats.pruned,
-        memo_pruned: run.stats.memo_pruned,
-        table_peak: run.stats.table_peak,
-        quantum_transformed: quantum,
-        races,
-        verdict,
-    })
+    let mut out = check_program_outcome(p, model, opts, &CheckResilience::default())
+        .expect("a fresh run has no checkpoint to mismatch");
+    strict(&out.status, out.panic.take())?;
+    Ok(out.into_report())
 }
 
-/// One completed shard of a resilient check — the unit of
-/// checkpoint/resume. The shard plan is a deterministic function of
-/// the program and options, so an index recorded by one process names
-/// the same subtree in the next.
+/// One completed shard of a check — the unit of checkpoint/resume.
+/// The shard plan is a deterministic function of the program and
+/// options, so an index recorded by one process names the same
+/// subtree in the next.
 #[derive(Debug, Clone)]
 pub struct ShardRecord {
     /// Index in the deterministic shard plan.
@@ -299,9 +261,10 @@ pub struct ShardRecord {
     pub races: Vec<FoundRace>,
 }
 
-/// Resilience options for [`check_program_resilient`]. The budget
-/// (deadline / cancel / memory cap) travels inside
-/// [`CheckOptions::limits`] so the DFS hot loop can poll it.
+/// Resilience options for [`check_program_outcome`]. The default is a
+/// fresh run: no faults, no checkpoint. The budget (deadline / cancel
+/// / memory cap) travels inside [`CheckOptions::limits`] so the DFS hot
+/// loop can poll it.
 #[derive(Debug, Clone, Default)]
 pub struct CheckResilience {
     /// Deterministic fault injection (chaos testing only).
@@ -309,43 +272,86 @@ pub struct CheckResilience {
     /// Completed-shard records from a previous run's checkpoint; they
     /// are not re-run and merge into the final report as-is.
     pub completed: Vec<ShardRecord>,
+    /// The checkpoint's plan size (`CheckOutcome::total_shards`), which
+    /// `completed` indexes into; 0 for a fresh run.
+    pub total_shards: usize,
 }
 
-/// Result of a resilient check: the (possibly partial) report plus how
-/// the run ended and the per-shard state a checkpoint serializes.
-#[derive(Debug, Clone)]
+/// Result of a check: how the run ended, plus the per-shard state a
+/// checkpoint serializes and the report merges.
 pub struct CheckOutcome {
-    /// The merged report. Under [`RunStatus::Inconclusive`] or
-    /// [`RunStatus::Degraded`] it covers the completed shards — a
-    /// sound prefix: every listed race is real (races are only ever
-    /// found by exploring real executions), but absence of races is
-    /// not yet a verdict.
-    pub report: CheckReport,
     /// How the run ended.
     pub status: RunStatus,
     /// Every completed shard — previous runs' (from the checkpoint)
     /// plus this run's — in index order. This is the checkpoint
     /// payload.
     pub shards: Vec<ShardRecord>,
-    /// Size of the deterministic shard plan.
+    /// Size of the deterministic shard plan (1 when the serial probe
+    /// finished the whole tree).
     pub total_shards: usize,
+    /// The panic of the first lost shard, for strict callers to
+    /// re-raise.
+    pub panic: Option<Panic>,
+    program: String,
+    model: MemoryModel,
+    quantum_transformed: bool,
+    frontier_pruned: usize,
 }
 
 impl CheckOutcome {
-    /// Did every shard finish (report is exactly the non-resilient
-    /// one)?
-    pub fn is_complete(&self) -> bool {
-        self.status.is_complete()
+    /// The merged report. Under [`RunStatus::Inconclusive`] or
+    /// [`RunStatus::Degraded`] it covers the completed shards — a sound
+    /// prefix: every listed race is real (races are only ever found by
+    /// exploring real executions), but absence of races is not yet a
+    /// verdict.
+    pub fn report(&self) -> CheckReport {
+        self.merge(self.shards.iter().map(|r| (r.stats, r.races.clone())))
+    }
+
+    /// [`CheckOutcome::report`], consuming the shard records.
+    pub fn into_report(mut self) -> CheckReport {
+        let shards = std::mem::take(&mut self.shards);
+        self.merge(shards.into_iter().map(|r| (r.stats, r.races)))
+    }
+
+    /// The deterministic merge: shards in index order, races deduped
+    /// by static key, execution indices offset by prior shards' work —
+    /// so a resumed run reproduces the uninterrupted report exactly.
+    fn merge(&self, shards: impl Iterator<Item = (EnumStats, Vec<FoundRace>)>) -> CheckReport {
+        let mut stats = EnumStats { pruned: self.frontier_pruned, ..EnumStats::default() };
+        let mut keys: BTreeSet<RaceKey> = BTreeSet::new();
+        let mut races: Vec<FoundRace> = Vec::new();
+        for (shard, found) in shards {
+            for mut f in found {
+                if keys.insert(f.key) {
+                    f.exec_index += stats.explored;
+                    races.push(f);
+                }
+            }
+            stats.absorb(shard);
+        }
+        let verdict = if races.is_empty() { Verdict::RaceFree } else { Verdict::Racy };
+        CheckReport {
+            program: self.program.clone(),
+            model: self.model,
+            executions: stats.explored,
+            pruned: stats.pruned,
+            memo_pruned: stats.memo_pruned,
+            table_peak: stats.table_peak,
+            quantum_transformed: self.quantum_transformed,
+            races,
+            verdict,
+        }
     }
 }
 
-/// [`check_program_with`], resilient: panic-isolated shards with one
-/// retry (backing off [`Reduction::SleepSetMemo`] to
-/// [`Reduction::SleepSet`]), cooperative budgets with a deadline
-/// watchdog, deterministic fault injection, and resume over a
-/// checkpoint's completed shards. Infallible — exhaustion comes back
-/// as [`RunStatus::Inconclusive`], lost shards as
-/// [`RunStatus::Degraded`], never an error or abort.
+/// Check `p` against `model`: the checker's one execution path.
+/// Panic-isolated shards with one retry (backing off
+/// [`Reduction::SleepSetMemo`] to [`Reduction::SleepSet`]),
+/// cooperative budgets with a deadline watchdog, deterministic fault
+/// injection, and resume over a checkpoint's completed shards.
+/// Exhaustion comes back as [`RunStatus::Inconclusive`], lost shards
+/// as [`RunStatus::Degraded`], never an error or abort.
 ///
 /// Determinism: with the same program, options, fault plan and
 /// completed set, the merged report and status are identical at
@@ -353,28 +359,37 @@ impl CheckOutcome {
 /// a real budget trip depends on timing, but every reported race is
 /// still drawn from the same deterministic per-shard sets
 /// (prefix-soundness).
-pub fn check_program_resilient(
+///
+/// # Errors
+///
+/// A checkpoint whose `total_shards` or shard indices do not fit this
+/// program's plan.
+pub fn check_program_outcome(
     p: &Program,
     model: MemoryModel,
     opts: &CheckOptions,
     res: &CheckResilience,
-) -> CheckOutcome {
+) -> Result<CheckOutcome, String> {
     let view = model_view(p, model);
     let quantum = model == MemoryModel::Drfrlx && has_quantum(&view);
     let attainable = attainable_kinds(&view);
+    // More workers than cores is pure oversubscription: the shards are
+    // CPU-bound and the report is worker-count-invariant, so extra
+    // threads can only add scheduling overhead.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let completed_cutoff = if opts.early_exit {
-        res.completed.iter().filter(|r| r.saturated).map(|r| r.index).min()
-    } else {
-        None
+    let cutoff = |records: &[ShardRecord]| {
+        records.iter().filter(|r| opts.early_exit && r.saturated).map(|r| r.index).min()
     };
+    let mut completed: Vec<usize> = res.completed.iter().map(|r| r.index).collect();
+    completed.sort_unstable();
     let ropts = ResilienceOptions {
         fault_plan: res.fault_plan,
-        completed: res.completed.iter().map(|r| r.index).collect(),
+        completed,
         completed_explored: res.completed.iter().map(|r| r.stats.explored).sum(),
-        completed_cutoff,
+        completed_cutoff: cutoff(&res.completed),
+        total_shards: res.total_shards,
     };
-    let run = visit_sc_resilient(
+    let run = visit_sc_outcome(
         &view,
         &opts.limits,
         quantum,
@@ -383,56 +398,30 @@ pub fn check_program_resilient(
         &|| RaceCollector::new(&view, &attainable, opts.early_exit),
         &|v: &RaceCollector| opts.early_exit && v.saturated(),
         &ropts,
-    );
-    let frontier_pruned = run.frontier_pruned;
-    let mut shards: Vec<ShardRecord> = res.completed.clone();
-    for (index, v, stats) in run.shards {
-        let saturated = v.saturated();
-        shards.push(ShardRecord {
-            index,
-            stats,
-            saturated,
-            races: v.races.into_iter().map(|(_, f)| f).collect(),
-        });
-    }
+    )?;
+    let mut shards = res.completed.clone();
+    shards.extend(run.shards.into_iter().map(|(index, v, stats)| ShardRecord {
+        index,
+        stats,
+        saturated: v.saturated(),
+        races: v.races,
+    }));
     shards.sort_by_key(|r| r.index);
-    // The same deterministic merge as the non-resilient path: shards
-    // in index order, races deduped by static key, execution indices
-    // offset by prior shards' work — so a resumed run reproduces the
-    // uninterrupted report exactly.
-    let mut keys: BTreeSet<RaceKey> = BTreeSet::new();
-    let mut races: Vec<FoundRace> = Vec::new();
-    let mut offset = 0;
-    let mut agg = EnumStats::default();
-    for r in &shards {
-        for f in &r.races {
-            if keys.insert(f.key) {
-                let mut f = f.clone();
-                f.exec_index += offset;
-                races.push(f);
-            }
-        }
-        offset += r.stats.explored;
-        agg.absorb(r.stats);
+    // A shard this run saturated may sit below checkpointed ones; the
+    // uninterrupted run would have stopped there.
+    if let Some(cut) = cutoff(&shards) {
+        shards.retain(|r| r.index <= cut);
     }
-    agg.pruned += frontier_pruned;
-    let verdict = if races.is_empty() { Verdict::RaceFree } else { Verdict::Racy };
-    CheckOutcome {
-        report: CheckReport {
-            program: p.name().to_string(),
-            model,
-            executions: agg.explored,
-            pruned: agg.pruned,
-            memo_pruned: agg.memo_pruned,
-            table_peak: agg.table_peak,
-            quantum_transformed: quantum,
-            races,
-            verdict,
-        },
+    Ok(CheckOutcome {
         status: run.status,
         shards,
         total_shards: run.total_shards,
-    }
+        panic: run.panic,
+        program: p.name().to_string(),
+        model,
+        quantum_transformed: quantum,
+        frontier_pruned: run.frontier_pruned,
+    })
 }
 
 /// Check `p` against `model` with explicit limits on the default
@@ -475,7 +464,7 @@ pub fn check_program_reference(
     for e in &execs {
         collector.visit(e);
     }
-    let races = collector.races.into_iter().map(|(_, f)| f).collect::<Vec<_>>();
+    let races = collector.races;
     let verdict = if races.is_empty() { Verdict::RaceFree } else { Verdict::Racy };
     Ok(CheckReport {
         program: p.name().to_string(),

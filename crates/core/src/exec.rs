@@ -17,12 +17,18 @@
 //!    pending steps commute when they touch different locations or are
 //!    both reads, so only one order of each commuting pair is explored;
 //!    skipped subtrees are counted in [`EnumStats::pruned`].
-//! 3. [`visit_sc_sharded`] — the top levels of the tree are split into
-//!    independent shard jobs run on a thread pool (same discipline as
-//!    `hsim_sys::run_matrix`: atomic job index, results merged in shard
-//!    order, serial fallback). The shard set is independent of the
-//!    thread count, so explored/pruned counts and visitor results are
-//!    byte-identical at any `--threads`.
+//! 3. [`visit_sc_outcome`] — the top levels of the tree are split into
+//!    independent shard jobs run as units of the engine-shared
+//!    [`crate::resilience::Pool`] (the one pool the sweep and the fuzz
+//!    campaign use too: atomic job index, results merged in shard
+//!    order, serial loop at one thread). The shard set is independent
+//!    of the thread count, so explored/pruned counts and visitor
+//!    results are byte-identical at any `--threads`. There is one
+//!    execution path: a budget, a fault plan and a checkpoint's
+//!    completed shards are values of its [`EnumLimits`] and
+//!    [`ResilienceOptions`], whose defaults are the plain walk, and
+//!    [`visit_sc_sharded`] is its strict view (an exhausted budget is
+//!    an [`EnumError`], a lost shard re-raises its panic).
 //!
 //! [`enumerate_sc`] / [`enumerate_sc_quantum`] survive as collect()
 //! visitors over the exhaustive (unreduced) walk — the materializing
@@ -37,13 +43,14 @@
 use crate::classes::OpClass;
 use crate::program::{Expr, Instr, Loc, Program, Reg, Value};
 use crate::relation::Relation;
-use crate::resilience::{Budget, EngineId, ExhaustReason, Fault, FaultPlan, RunStatus};
+use crate::resilience::{
+    strict, Attempt, Budget, EngineId, ExhaustReason, FaultPlan, Panic, Pool, RunStatus,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Kind of dynamic memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -481,33 +488,20 @@ fn shard_target(p: &Program) -> usize {
 /// Deepest frontier cut considered.
 const SHARD_MAX_DEPTH: usize = 6;
 
-/// Stream executions to per-shard visitors, in parallel.
-///
-/// A serial probe with the real visitor runs first under a
-/// [`PROBE_BUDGET`]-execution cap: small trees complete inside it and
-/// that run *is* the result (sharding a 6-interleaving litmus test
-/// costs more than enumerating it). Otherwise the top levels of the
-/// tree are cut into [`shard_target`]-ish independent jobs (state
-/// snapshot + sleep set), collected in DFS order. Workers claim jobs
-/// off an atomic index — the same pool discipline as
-/// `hsim_sys::run_matrix` — and results merge in shard order. Both the
-/// probe decision and the shard set depend only on the program and
-/// limits, so the outcome is independent of `threads` and of
-/// scheduling.
+/// Stream executions to per-shard visitors, in parallel — the strict
+/// view of [`visit_sc_outcome`] for a fresh, fault-free run.
 ///
 /// `make` creates one fresh visitor per shard; `saturated` inspects a
 /// finished shard's visitor and returns `true` when that shard alone
-/// proves the final answer can no longer change (e.g. every attainable
-/// race kind was found). The merged result is then shards
-/// `0..=cutoff`, where `cutoff` is the *smallest* saturating shard
-/// index — a deterministic rule: the running cutoff only decreases, so
-/// every shard at or below the final cutoff is always run and every
-/// shard above it is always discarded.
+/// proves the final answer can no longer change (see
+/// [`visit_sc_outcome`] for the cutoff rule).
 ///
 /// # Errors
 ///
 /// Returns [`EnumError::TooManyExecutions`] when the executions
-/// explored across all shards (a shared counter) exceed the limit.
+/// explored across all shards (a shared counter) exceed the limit, or
+/// the matching error when [`EnumLimits::budget`] runs out. A shard
+/// that panics on its retry too re-raises its panic.
 pub fn visit_sc_sharded<V: ExecutionVisitor + Send>(
     p: &Program,
     limits: &EnumLimits,
@@ -517,100 +511,12 @@ pub fn visit_sc_sharded<V: ExecutionVisitor + Send>(
     make: &(dyn Fn() -> V + Sync),
     saturated: &(dyn Fn(&V) -> bool + Sync),
 ) -> Result<ShardedRun<V>, EnumError> {
-    // Adaptive fast path: probe the tree serially with a tight budget.
-    let probe_budget = PROBE_BUDGET.min(limits.max_executions);
-    let probe_limits = EnumLimits {
-        max_executions: probe_budget,
-        quantum_domain: limits.quantum_domain.clone(),
-        budget: limits.budget.clone(),
-    };
-    let mut probe = make();
-    match visit_sc(p, &probe_limits, quantum, reduction, &mut probe) {
-        Ok(stats) => {
-            let early_exit = saturated(&probe);
-            return Ok(ShardedRun { shards: vec![(probe, stats)], stats, early_exit });
-        }
-        Err(e) => {
-            if probe_budget >= limits.max_executions {
-                // The probe already ran under the real budget — a
-                // genuine too-many-executions failure.
-                return Err(e);
-            }
-            // Tree bigger than the probe: shard it, with a fresh
-            // counter (probe work is discarded, not double-counted).
-            drop(probe);
-        }
-    }
-
-    let (shards, frontier_pruned) = collect_frontier(p, limits, quantum, reduction);
-    let counter = AtomicUsize::new(0);
-    let nshards = shards.len();
-    let threads = threads.clamp(1, nshards.max(1));
-
-    let mut merged: Vec<(V, EnumStats)> = Vec::new();
-    let mut early_exit = false;
-    if threads == 1 {
-        for shard in shards {
-            let mut v = make();
-            let stats = run_shard(p, limits, quantum, reduction, shard, &mut v, &counter)?;
-            let sat = saturated(&v);
-            merged.push((v, stats));
-            if sat {
-                early_exit = true;
-                break;
-            }
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let cutoff = AtomicUsize::new(usize::MAX);
-        type Slot<V> = Mutex<Option<Result<(V, EnumStats), EnumError>>>;
-        let slots: Vec<Slot<V>> = (0..nshards).map(|_| Mutex::new(None)).collect();
-        let shards = &shards;
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= nshards {
-                        break;
-                    }
-                    if j > cutoff.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    let mut v = make();
-                    let r = run_shard(
-                        p,
-                        limits,
-                        quantum,
-                        reduction,
-                        shards[j].clone(),
-                        &mut v,
-                        &counter,
-                    );
-                    let r = r.map(|stats| {
-                        if saturated(&v) {
-                            cutoff.fetch_min(j, Ordering::Relaxed);
-                        }
-                        (v, stats)
-                    });
-                    *slots[j].lock().unwrap() = Some(r);
-                });
-            }
-        });
-        let cut = cutoff.load(Ordering::Relaxed);
-        early_exit = cut != usize::MAX;
-        for (j, slot) in slots.into_iter().enumerate() {
-            if j > cut {
-                break;
-            }
-            let r = slot.into_inner().unwrap().expect("shards at or below the cutoff always run");
-            merged.push(r?);
-        }
-    }
-    let mut stats = EnumStats { pruned: frontier_pruned, ..EnumStats::default() };
-    for (_, s) in &merged {
-        stats.absorb(*s);
-    }
-    Ok(ShardedRun { shards: merged, stats, early_exit })
+    let fresh = ResilienceOptions::default();
+    let run = visit_sc_outcome(p, limits, quantum, reduction, threads, make, saturated, &fresh)
+        .expect("a fresh run has no checkpoint to mismatch");
+    strict(&run.status, run.panic)?;
+    let shards = run.shards.into_iter().map(|(_, v, stats)| (v, stats)).collect();
+    Ok(ShardedRun { shards, stats: run.stats, early_exit: run.early_exit })
 }
 
 /// One frontier job: a search-state snapshot plus the sleep set it was
@@ -706,17 +612,16 @@ fn run_shard(
     Ok(eng.stats)
 }
 
-/// Resilience options for [`visit_sc_resilient`]. The default injects
+/// Resilience options for [`visit_sc_outcome`]. The default injects
 /// nothing, skips nothing and pre-charges nothing — a fresh run.
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceOptions {
     /// Deterministic fault injection (chaos testing); `None` injects
     /// nothing.
     pub fault_plan: Option<FaultPlan>,
-    /// Shard indices a previous (checkpointed) run already completed:
-    /// they are skipped here and merged back by the caller. Non-empty
-    /// also disables the serial probe — a checkpoint only exists for a
-    /// run that sharded.
+    /// Shard indices a previous (checkpointed) run already completed,
+    /// ascending: they are skipped here and merged back by the caller.
+    /// Non-empty also disables the serial probe.
     pub completed: Vec<usize>,
     /// Executions the completed shards already charged against the
     /// shared execution budget.
@@ -724,17 +629,14 @@ pub struct ResilienceOptions {
     /// Smallest completed shard index whose visitor saturated, if any
     /// (restores the early-exit cutoff on resume).
     pub completed_cutoff: Option<usize>,
+    /// Size of the plan `completed` indexes into, as the checkpoint
+    /// recorded it: 1 for a run the serial probe finished, the
+    /// frontier plan's size otherwise, 0 for a fresh run.
+    pub total_shards: usize,
 }
 
-impl ResilienceOptions {
-    /// Is this a resumed run (some shards already completed)?
-    fn resumed(&self) -> bool {
-        !self.completed.is_empty() || self.completed_cutoff.is_some()
-    }
-}
-
-/// Result of a resilient sharded enumeration ([`visit_sc_resilient`]).
-pub struct ResilientRun<V> {
+/// Result of [`visit_sc_outcome`].
+pub struct ShardedOutcome<V> {
     /// `(shard index, visitor, stats)` for every shard completed *by
     /// this run*, in shard-index order. Shards listed in
     /// [`ResilienceOptions::completed`] are not re-run and not listed.
@@ -755,53 +657,47 @@ pub struct ResilientRun<V> {
     /// Size of the deterministic shard plan (1 when the serial probe
     /// finished the whole tree).
     pub total_shards: usize,
+    /// The panic of the first shard lost to panics, for strict callers
+    /// to re-raise.
+    pub panic: Option<Panic>,
 }
 
-/// How one shard of a resilient run ended.
-enum ShardOut<V> {
-    /// Both the work and the saturation check finished.
-    Done(V, EnumStats),
-    /// Failed (panic or injected fault) on the first try *and* the
-    /// retry.
-    Lost,
-}
-
-/// How long an injected stall waits for the watchdog before giving up
-/// on its own — bounds chaos runs that have no deadline configured.
-/// Several watchdog poll periods, so a configured deadline is what
-/// normally ends the stall.
-const STALL_FALLBACK: Duration = Duration::from_millis(25);
-
-/// An injected [`Fault::Stall`]: hold the shard slot until the
-/// watchdog cancels the budget (or the fallback window elapses), then
-/// return so the attempt is classified as failed — the same
-/// classification either way, keeping reports deterministic.
-fn stall_until_cancelled(budget: Option<&Budget>) {
-    let cap = Instant::now() + STALL_FALLBACK;
-    while !budget.is_some_and(Budget::cancelled) && Instant::now() < cap {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// [`visit_sc_sharded`], resilient: panic isolation with one retry,
-/// cooperative budgets with a deadline watchdog, deterministic fault
-/// injection, and resume over a previous run's completed-shard set.
-/// Infallible — exhaustion and lost shards come back as
-/// [`RunStatus::Inconclusive`] / [`RunStatus::Degraded`] instead of
+/// Stream every SC execution of `p` to per-shard visitors on the
+/// engine-shared [`Pool`]: the one execution path of the checker and
+/// the conformance oracle. Exhaustion and lost shards come back as
+/// [`RunStatus::Inconclusive`] / [`RunStatus::Degraded`], never as
 /// errors or aborts.
 ///
-/// Each shard runs under `catch_unwind`; a failed shard is retried
-/// once, backing off [`Reduction::SleepSetMemo`] to the coarser
-/// [`Reduction::SleepSet`], and is reported lost if the retry fails
-/// too. A budget trip (shared execution counter, deadline, cancel,
-/// memory) stops the run: completed shards are kept — a sound prefix,
-/// since every race was found by exploring real executions — and the
-/// rest become the resume frontier. The shard plan is the same
-/// deterministic, thread-count-independent cut as
-/// [`visit_sc_sharded`], which is what makes `completed` indices from
-/// a checkpoint meaningful across processes.
-#[allow(clippy::too_many_arguments)] // mirrors visit_sc_sharded's signature + resilience
-pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
+/// A serial probe with the real visitor runs first under a
+/// [`PROBE_BUDGET`]-execution cap: small trees complete inside it and
+/// that run *is* the result (sharding a 6-interleaving litmus test
+/// costs more than enumerating it). On any probe failure — a bigger
+/// tree, a budget trip, even a panic — the top levels of the tree are
+/// cut into [`shard_target`]-ish independent jobs (state snapshot +
+/// sleep set), collected in DFS order, and run as pool units: each
+/// under `catch_unwind`, retried once with [`Reduction::SleepSetMemo`]
+/// backed off to [`Reduction::SleepSet`], with the budget polled per
+/// attempt and a deadline watchdog. Both the probe decision and the
+/// shard plan depend only on the program and limits, so the outcome is
+/// independent of `threads` and scheduling, and `completed` indices
+/// from a checkpoint name the same subtrees in the next process.
+///
+/// `saturated` returning `true` for a finished shard lowers the
+/// cutoff: the merged result is shards `0..=cutoff`, where `cutoff` is
+/// the *smallest* saturating shard index — a deterministic rule, since
+/// the running cutoff only decreases, so every shard at or below the
+/// final cutoff is always run and every shard above it discarded. A
+/// budget trip keeps the completed shards — a sound prefix, since
+/// every race is found by exploring real executions — and the rest
+/// become the resume frontier.
+///
+/// # Errors
+///
+/// A checkpoint whose plan does not fit this program: `total_shards`
+/// matching neither the probe nor the freshly cut plan, completed
+/// indices outside the plan or not strictly ascending.
+#[allow(clippy::too_many_arguments)] // visit_sc_sharded's signature + resilience
+pub fn visit_sc_outcome<V: ExecutionVisitor + Send>(
     p: &Program,
     limits: &EnumLimits,
     quantum: bool,
@@ -810,15 +706,31 @@ pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
     make: &(dyn Fn() -> V + Sync),
     saturated: &(dyn Fn(&V) -> bool + Sync),
     res: &ResilienceOptions,
-) -> ResilientRun<V> {
-    if !res.resumed() {
-        // The same adaptive probe as the non-resilient path. On any
-        // failure — tree bigger than the probe budget, a budget trip,
-        // even a panic — fall through to the sharded path, which
-        // isolates and classifies all three per shard.
-        let probe_budget = PROBE_BUDGET.min(limits.max_executions);
+) -> Result<ShardedOutcome<V>, String> {
+    let done = |shards, stats, total_shards, early_exit| ShardedOutcome {
+        shards,
+        stats,
+        frontier_pruned: 0,
+        status: RunStatus::Complete,
+        early_exit,
+        total_shards,
+        panic: None,
+    };
+    let (resumed, total) = (!res.completed.is_empty(), res.total_shards);
+    if res.completed.windows(2).any(|w| w[0] >= w[1]) || (resumed && total == 0) {
+        return Err("checkpoint shard records are not a strictly ascending plan subset".into());
+    }
+    if resumed && total == 1 {
+        // The checkpointed run finished inside the serial probe: its
+        // one record already covers the whole tree.
+        if res.completed != [0] {
+            return Err("a probe checkpoint holds exactly shard 0".into());
+        }
+        return Ok(done(Vec::new(), EnumStats::default(), 1, res.completed_cutoff.is_some()));
+    }
+    if !resumed {
         let probe_limits = EnumLimits {
-            max_executions: probe_budget,
+            max_executions: PROBE_BUDGET.min(limits.max_executions),
             quantum_domain: limits.quantum_domain.clone(),
             budget: limits.budget.clone(),
         };
@@ -828,193 +740,57 @@ pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
         }));
         if let Ok(Ok(stats)) = outcome {
             let early_exit = saturated(&probe);
-            return ResilientRun {
-                shards: vec![(0, probe, stats)],
-                stats,
-                frontier_pruned: 0,
-                status: RunStatus::Complete,
-                early_exit,
-                total_shards: 1,
-            };
+            return Ok(done(vec![(0, probe, stats)], stats, 1, early_exit));
         }
     }
 
     let (plan, frontier_pruned) = collect_frontier(p, limits, quantum, reduction);
-    let nshards = plan.len();
-    let threads = threads.clamp(1, nshards.max(1));
+    if (total > 1 && total != plan.len()) || res.completed.last().is_some_and(|&j| j >= plan.len())
+    {
+        return Err(format!(
+            "checkpoint plan has {total} shards, but this program cuts {}; \
+             the checkpoint was altered or written by a different version",
+            plan.len()
+        ));
+    }
     let counter = AtomicUsize::new(res.completed_explored);
-    let cutoff = AtomicUsize::new(res.completed_cutoff.unwrap_or(usize::MAX));
-    let exhausted: Mutex<Option<ExhaustReason>> = Mutex::new(None);
     let backoff = match reduction {
         Reduction::SleepSetMemo => Reduction::SleepSet,
         r => r,
     };
-    let plan = &plan;
-
-    // One shard, first try plus at most one retry. `None` means a
-    // global budget trip (reason recorded in `exhausted`) — the shard
-    // goes back on the frontier.
-    let run_one = |j: usize| -> Option<ShardOut<V>> {
-        for attempt in 0..2 {
-            if exhausted.lock().unwrap().is_some() {
-                return None;
-            }
-            // Per-shard budget poll: shards small enough to finish
-            // between two amortized in-loop polls still observe a
-            // deadline or cancellation at the next shard boundary.
-            if let Some(b) = &limits.budget {
-                if let Err(r) = b.check(0) {
-                    let mut g = exhausted.lock().unwrap();
-                    if g.is_none() {
-                        *g = Some(r);
-                    }
-                    return None;
-                }
-            }
-            let red = if attempt == 0 { reduction } else { backoff };
-            let fault =
-                res.fault_plan.as_ref().and_then(|pl| pl.fault_for(EngineId::Checker, j, attempt));
-            match fault {
-                Some(Fault::Stall) => {
-                    stall_until_cancelled(limits.budget.as_deref());
-                    continue;
-                }
-                Some(Fault::Exhaust) => continue,
-                _ => {}
-            }
-            let mut v = make();
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                if matches!(fault, Some(Fault::Panic)) {
-                    panic!("injected fault: checker shard {j} attempt {attempt}");
-                }
-                run_shard(p, limits, quantum, red, plan[j].clone(), &mut v, &counter)
-            }));
-            match r {
-                Ok(Ok(stats)) => {
-                    if saturated(&v) {
-                        cutoff.fetch_min(j, Ordering::Relaxed);
-                    }
-                    return Some(ShardOut::Done(v, stats));
-                }
-                Ok(Err(e)) => {
-                    let mut g = exhausted.lock().unwrap();
-                    if g.is_none() {
-                        *g = Some(e.exhaust_reason());
-                    }
-                    return None;
-                }
-                Err(_) => {} // panicked — retry, or fall out as Lost
-            }
-        }
-        Some(ShardOut::Lost)
+    let pool = Pool {
+        budget: limits.budget.as_deref(),
+        faults: res.fault_plan,
+        skip: &res.completed,
+        cutoff: res.completed_cutoff,
+        ..Pool::new(EngineId::Checker, threads)
     };
-
-    type Slot<V> = Mutex<Option<ShardOut<V>>>;
-    let slots: Vec<Slot<V>> = (0..nshards).map(|_| Mutex::new(None)).collect();
-    let done = AtomicBool::new(false);
-    let next = AtomicUsize::new(0);
-    let claimable = |j: usize| {
-        !res.completed.contains(&j)
-            && j <= cutoff.load(Ordering::Relaxed)
-            && exhausted.lock().unwrap().is_none()
-    };
-    std::thread::scope(|s| {
-        // Deadline watchdog: stalled shards may never reach a poll
-        // site, so a sleeping sidecar flips the cancel flag the moment
-        // the deadline passes — every poll site and every injected
-        // stall then unwinds cooperatively.
-        if let Some(b) = limits.budget.clone() {
-            if let Some(deadline) = b.deadline() {
-                let done = &done;
-                s.spawn(move || {
-                    while !done.load(Ordering::Relaxed) {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            b.cancel();
-                            break;
-                        }
-                        std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
-                    }
-                });
-            }
+    let run = pool.run(plan.len(), &|j, attempt| {
+        let red = if attempt == 0 { reduction } else { backoff };
+        let mut v = make();
+        match run_shard(p, limits, quantum, red, plan[j].clone(), &mut v, &counter) {
+            Ok(stats) if saturated(&v) => Attempt::Saturated((v, stats)),
+            Ok(stats) => Attempt::Done((v, stats)),
+            Err(e) => Attempt::Exhausted(e.exhaust_reason()),
         }
-        if threads == 1 {
-            for (j, slot) in slots.iter().enumerate() {
-                if res.completed.contains(&j) {
-                    continue;
-                }
-                if j > cutoff.load(Ordering::Relaxed) || exhausted.lock().unwrap().is_some() {
-                    break;
-                }
-                if let Some(out) = run_one(j) {
-                    *slot.lock().unwrap() = Some(out);
-                }
-            }
-        } else {
-            let (next, claimable, slots, run_one) = (&next, &claimable, &slots, &run_one);
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move || loop {
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= nshards {
-                            break;
-                        }
-                        if !claimable(j) {
-                            continue;
-                        }
-                        if let Some(out) = run_one(j) {
-                            *slots[j].lock().unwrap() = Some(out);
-                        }
-                    })
-                })
-                .collect();
-            for w in workers {
-                let _ = w.join();
-            }
-        }
-        done.store(true, Ordering::Relaxed);
     });
-
-    let cut = cutoff.load(Ordering::Relaxed);
-    let early_exit = cut != usize::MAX;
-    let mut merged = Vec::new();
-    let mut lost = Vec::new();
-    let mut frontier = Vec::new();
-    for (j, slot) in slots.into_iter().enumerate() {
-        if j > cut {
-            break;
-        }
-        if res.completed.contains(&j) {
-            continue;
-        }
-        match slot.into_inner().unwrap() {
-            Some(ShardOut::Done(v, stats)) => merged.push((j, v, stats)),
-            Some(ShardOut::Lost) => lost.push(j),
-            None => frontier.push(j),
-        }
-    }
     let mut stats = EnumStats { pruned: frontier_pruned, ..EnumStats::default() };
-    for (_, _, s) in &merged {
-        stats.absorb(*s);
-    }
-    let exhausted = exhausted.into_inner().unwrap();
-    let status = if !frontier.is_empty() {
-        frontier.extend_from_slice(&lost);
-        frontier.sort_unstable();
-        RunStatus::Inconclusive { reason: exhausted.unwrap_or(ExhaustReason::Cancelled), frontier }
-    } else if !lost.is_empty() {
-        RunStatus::Degraded { lost }
-    } else {
-        RunStatus::Complete
-    };
-    ResilientRun {
-        shards: merged,
+    let shards: Vec<_> = run
+        .results
+        .into_iter()
+        .enumerate()
+        .filter_map(|(j, r)| r.map(|(v, s)| (j, v, s)))
+        .inspect(|(_, _, s)| stats.absorb(*s))
+        .collect();
+    Ok(ShardedOutcome {
+        shards,
         stats,
         frontier_pruned,
-        status,
-        early_exit,
-        total_shards: nshards,
-    }
+        status: run.status,
+        early_exit: run.early_exit,
+        total_shards: plan.len(),
+        panic: run.panic,
+    })
 }
 
 /// Small set of dynamic event ids with inline storage — taint and ctrl

@@ -1,16 +1,17 @@
 //! Resilience primitives shared by the three compute engines: budgets
-//! with cooperative cancellation, structured exhaustion reasons, and
-//! deterministic fault injection.
+//! with cooperative cancellation, structured exhaustion reasons,
+//! deterministic fault injection, and the one work [`Pool`] every
+//! engine runs its units on.
 //!
 //! The execution layer treats resource exhaustion as a *first-class
 //! outcome* rather than a crash (herd reports partial exploration when
-//! enumeration is cut short; this layer does the same). Three pieces
+//! enumeration is cut short; this layer does the same). Four pieces
 //! compose:
 //!
 //! * [`Budget`] — a shared, cooperatively-polled resource bound:
 //!   wall-clock deadline, approximate memory high-water and an
 //!   explicit cancel flag. The enumerator polls it amortized in the
-//!   DFS hot loop ([`crate::exec`]); the sweep pool polls it per job.
+//!   DFS hot loop ([`crate::exec`]); the pool polls it per attempt.
 //!   A watchdog thread past the deadline only has to call
 //!   [`Budget::cancel`] — every poll site then unwinds with
 //!   [`crate::exec::EnumError::Cancelled`].
@@ -25,9 +26,17 @@
 //!   attempt `a` is a pure function of `(seed, e, u, a)`, so every
 //!   chaos run is replayable from its seed alone. All injection is off
 //!   unless a plan is supplied.
+//! * [`Pool`] — the single worker pool behind checker shards, sweep
+//!   jobs and fuzz-campaign programs. A run with no budget, no fault
+//!   plan and nothing to skip is simply the default value of the same
+//!   path; the engines' strict entry points read its [`PoolRun`]
+//!   through [`strict`].
 
+use std::any::Any;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// SplitMix64 finalizer — the same mixer as the in-tree PRNG.
@@ -88,6 +97,24 @@ impl Budget {
     /// The configured deadline, if any.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
+    }
+
+    /// The deadline watchdog: stalled units may never reach a poll
+    /// site, so a sleeping sidecar flips the cancel flag the moment the
+    /// deadline passes — every poll site and every injected stall then
+    /// unwinds cooperatively. Returns once `done` is set (the setter
+    /// unparks this thread, so a finished run never waits out a sleep)
+    /// or the flag is flipped.
+    fn watch(&self, done: &AtomicBool) {
+        let Some(deadline) = self.deadline else { return };
+        while !done.load(Ordering::Acquire) {
+            let now = Instant::now();
+            if now >= deadline {
+                self.cancel();
+                return;
+            }
+            std::thread::park_timeout(deadline - now);
+        }
     }
 
     /// One cooperative poll: `Err` when the budget is exhausted.
@@ -155,8 +182,8 @@ impl fmt::Display for ExhaustReason {
 /// How a resilient run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunStatus {
-    /// Every unit of work finished; the report is exactly what the
-    /// non-resilient path would have produced.
+    /// Every unit of work finished; the report is exactly what an
+    /// unbudgeted, fault-free run produces.
     Complete,
     /// Some units were lost to panics (or injected faults) even after
     /// retry; the report covers every other unit.
@@ -192,6 +219,258 @@ impl fmt::Display for RunStatus {
             RunStatus::Inconclusive { reason, frontier } => {
                 write!(f, "inconclusive ({reason}; {} unit(s) unfinished)", frontier.len())
             }
+        }
+    }
+}
+
+/// What one attempt at a [`Pool`] unit produced.
+pub enum Attempt<T> {
+    /// The unit finished.
+    Done(T),
+    /// The unit finished and its result alone settles the run: units
+    /// above it need not run (early exit).
+    Saturated(T),
+    /// This attempt failed without panicking (a campaign rung whose
+    /// oracle ran out of executions); the next attempt may succeed.
+    Failed,
+    /// A global budget ran out: the run stops and the unit goes back
+    /// on the frontier.
+    Exhausted(ExhaustReason),
+}
+
+/// A panic payload caught from a lost unit, kept so a strict caller
+/// can re-raise it.
+pub type Panic = Box<dyn Any + Send + 'static>;
+
+/// How long an injected stall waits for the watchdog's cancellation
+/// before giving up on its own — bounds chaos runs whose deadline is
+/// far off or absent.
+const STALL_FALLBACK: Duration = Duration::from_millis(25);
+
+/// The one work pool of the three engines: checker shards, sweep jobs
+/// and fuzz-campaign programs are all units of a `Pool` run.
+///
+/// Units are claimed by atomic index (a plain serial loop at
+/// `threads == 1`) and run under `catch_unwind`; each gets up to
+/// `attempts` tries, and the attempt number is passed to the unit so
+/// it can back off on a retry. A seeded [`FaultPlan`] injects panics,
+/// stalls and exhaustion per `(engine, unit, attempt)`. The budget is
+/// polled before every attempt, and a watchdog thread is armed only
+/// when the budget has a deadline. Units listed in `skip` never run;
+/// a [`Attempt::Saturated`] unit lowers the cutoff above which no unit
+/// is claimed or kept. With the defaults of [`Pool::new`] nothing is
+/// injected, polled or skipped.
+pub struct Pool<'a> {
+    /// Which engine the units belong to (the fault-plan key).
+    pub engine: EngineId,
+    /// Worker threads; clamped to `1..=units`.
+    pub threads: usize,
+    /// Tries per unit before it is reported lost.
+    pub attempts: usize,
+    /// Shared resource budget, polled before every attempt.
+    pub budget: Option<&'a Budget>,
+    /// Deterministic fault injection (chaos testing only).
+    pub faults: Option<FaultPlan>,
+    /// Units that already completed elsewhere (a checkpoint), ascending.
+    pub skip: &'a [usize],
+    /// A cutoff carried over from such completed units.
+    pub cutoff: Option<usize>,
+}
+
+/// The result of a [`Pool::run`].
+pub struct PoolRun<T> {
+    /// One slot per unit: `Some` for every unit that completed at or
+    /// below the cutoff, `None` for skipped, lost, unfinished or
+    /// cut-off units.
+    pub results: Vec<Option<T>>,
+    /// How the run ended: `Degraded` names the lost units, and
+    /// `Inconclusive`'s frontier the units still to run (lost ones
+    /// included).
+    pub status: RunStatus,
+    /// Did a saturated unit (or the carried-over cutoff) cut the run
+    /// short?
+    pub early_exit: bool,
+    /// Units that failed every attempt, ascending (the status names
+    /// them too, merged into the frontier when the run is
+    /// inconclusive).
+    pub lost: Vec<usize>,
+    /// The panic of the first lost unit, if it was lost to panics.
+    pub panic: Option<Panic>,
+}
+
+/// The strict reading of a run's status: `Ok` when complete, the
+/// reason when inconclusive, and a degraded run re-raises `panic` (the
+/// first lost unit's payload) so a strict caller sees the original
+/// failure.
+///
+/// # Errors
+///
+/// The [`ExhaustReason`] of an `Inconclusive` status.
+pub fn strict(status: &RunStatus, panic: Option<Panic>) -> Result<(), ExhaustReason> {
+    match status {
+        RunStatus::Complete => Ok(()),
+        RunStatus::Inconclusive { reason, .. } => Err(*reason),
+        RunStatus::Degraded { lost } => resume_unwind(
+            panic
+                .unwrap_or_else(|| Box::new(format!("unit {} lost to an injected fault", lost[0]))),
+        ),
+    }
+}
+
+impl<'a> Pool<'a> {
+    /// A pool of `threads` workers for `engine`: one retry per unit,
+    /// no budget, no faults, nothing skipped.
+    pub fn new(engine: EngineId, threads: usize) -> Pool<'a> {
+        Pool { engine, threads, attempts: 2, budget: None, faults: None, skip: &[], cutoff: None }
+    }
+
+    /// Run units `0..n`; `unit(j, attempt)` does the work of unit `j`.
+    /// Results come back in unit order whatever the thread count.
+    pub fn run<T: Send>(
+        &self,
+        n: usize,
+        unit: &(dyn Fn(usize, usize) -> Attempt<T> + Sync),
+    ) -> PoolRun<T> {
+        let tripped: OnceLock<ExhaustReason> = OnceLock::new();
+        let cutoff = AtomicUsize::new(self.cutoff.unwrap_or(usize::MAX));
+        let lost: Mutex<Vec<(usize, Option<Panic>)>> = Mutex::new(Vec::new());
+        // One unit through its attempts: `None` when it did not finish,
+        // either left on the frontier by a budget trip or recorded lost.
+        let run_one = |j: usize| -> Option<T> {
+            let mut panic = None;
+            for attempt in 0..self.attempts {
+                if tripped.get().is_some() {
+                    return None;
+                }
+                if let Some(Err(r)) = self.budget.map(|b| b.check(0)) {
+                    let _ = tripped.set(r);
+                    return None;
+                }
+                let fault = self.faults.and_then(|pl| pl.fault_for(self.engine, j, attempt));
+                match fault {
+                    Some(Fault::Stall) => {
+                        self.stall();
+                        continue;
+                    }
+                    Some(Fault::Exhaust) => continue,
+                    _ => {}
+                }
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    if fault == Some(Fault::Panic) {
+                        panic!("injected fault: {:?} unit {j} attempt {attempt}", self.engine);
+                    }
+                    unit(j, attempt)
+                }));
+                match r {
+                    Ok(Attempt::Done(v)) => return Some(v),
+                    Ok(Attempt::Saturated(v)) => {
+                        cutoff.fetch_min(j, Ordering::Relaxed);
+                        return Some(v);
+                    }
+                    Ok(Attempt::Failed) => {}
+                    Ok(Attempt::Exhausted(r)) => {
+                        let _ = tripped.set(r);
+                        return None;
+                    }
+                    Err(p) => panic = Some(p),
+                }
+            }
+            lost.lock().expect("lost units").push((j, panic));
+            None
+        };
+        // Claims past the cutoff or after a trip are never needed: the
+        // cutoff only falls and claims only rise.
+        let stop = |j: usize| j > cutoff.load(Ordering::Relaxed) || tripped.get().is_some();
+        let skipped = |j: usize| self.skip.binary_search(&j).is_ok();
+
+        let threads = self.threads.clamp(1, n.max(1));
+        let (done, next) = (AtomicBool::new(false), AtomicUsize::new(0));
+        // Parallel workers fill per-unit cells; the serial loop writes
+        // its results directly and takes no lock.
+        let cells: Vec<Mutex<Option<T>>> =
+            (0..if threads == 1 { 0 } else { n }).map(|_| Mutex::new(None)).collect();
+        let serial = std::thread::scope(|s| {
+            let watchdog = self.budget.filter(|b| b.deadline().is_some()).map(|b| {
+                let done = &done;
+                s.spawn(move || b.watch(done))
+            });
+            let serial = if threads == 1 {
+                let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+                for (j, slot) in results.iter_mut().enumerate() {
+                    if stop(j) {
+                        break;
+                    }
+                    if !skipped(j) {
+                        *slot = run_one(j);
+                    }
+                }
+                Some(results)
+            } else {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| {
+                        s.spawn(|| loop {
+                            let j = next.fetch_add(1, Ordering::Relaxed);
+                            if j >= n || stop(j) {
+                                break;
+                            }
+                            if !skipped(j) {
+                                let out = run_one(j);
+                                *cells[j].lock().expect("pool slot") = out;
+                            }
+                        })
+                    })
+                    .collect();
+                for w in workers {
+                    w.join().expect("pool workers catch every unit panic");
+                }
+                None
+            };
+            done.store(true, Ordering::Release);
+            if let Some(w) = watchdog {
+                w.thread().unpark();
+            }
+            serial
+        });
+        let mut results = serial.unwrap_or_else(|| {
+            cells.into_iter().map(|c| c.into_inner().expect("pool slot")).collect()
+        });
+
+        let cut = cutoff.load(Ordering::Relaxed);
+        let mut lost = lost.into_inner().expect("lost units");
+        lost.retain(|&(j, _)| j <= cut);
+        lost.sort_unstable_by_key(|&(j, _)| j);
+        let lost_at = |j: usize| lost.binary_search_by_key(&j, |&(k, _)| k).is_ok();
+        let mut frontier = Vec::new();
+        for (j, slot) in results.iter_mut().enumerate() {
+            if j > cut {
+                *slot = None;
+            } else if slot.is_none() && !skipped(j) && !lost_at(j) {
+                frontier.push(j);
+            }
+        }
+        let lost_units: Vec<usize> = lost.iter().map(|&(j, _)| j).collect();
+        let status = if !frontier.is_empty() {
+            frontier.extend_from_slice(&lost_units);
+            frontier.sort_unstable();
+            let reason = tripped.get().copied().unwrap_or(ExhaustReason::Cancelled);
+            RunStatus::Inconclusive { reason, frontier }
+        } else if !lost_units.is_empty() {
+            RunStatus::Degraded { lost: lost_units.clone() }
+        } else {
+            RunStatus::Complete
+        };
+        let panic = lost.into_iter().find_map(|(_, p)| p);
+        PoolRun { results, status, early_exit: cut != usize::MAX, lost: lost_units, panic }
+    }
+
+    /// An injected [`Fault::Stall`]: hold the unit until the watchdog
+    /// cancels the budget (or the fallback window elapses), then return
+    /// so the attempt counts as failed — the same classification either
+    /// way, keeping reports deterministic.
+    fn stall(&self) {
+        let cap = Instant::now() + STALL_FALLBACK;
+        while !self.budget.is_some_and(Budget::cancelled) && Instant::now() < cap {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }

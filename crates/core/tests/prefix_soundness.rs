@@ -1,4 +1,4 @@
-//! Prefix soundness of the resilient checker, as a property test:
+//! Prefix soundness of the checker under a budget, as a property test:
 //! whatever a budget-limited run reports must be a *prefix truth* of
 //! the unbudgeted run. Over randomized programs, every race found
 //! under any execution budget is also in the unbudgeted race set, the
@@ -6,7 +6,7 @@
 //! run that completes within its budget reports exactly the full set.
 
 use drfrlx_core::checker::{
-    check_program_resilient, check_program_with, CheckOptions, CheckResilience, RaceKey,
+    check_program_outcome, check_program_with, CheckOptions, CheckResilience, RaceKey,
 };
 use drfrlx_core::resilience::RunStatus;
 use drfrlx_core::{MemoryModel, OpClass, Program};
@@ -81,19 +81,21 @@ fn budgeted_races_are_a_subset_of_the_unbudgeted_set() {
         for budget in [1usize, 3, 17, 120] {
             let mut tight = opts.clone();
             tight.limits.max_executions = budget;
-            let out = check_program_resilient(&p, model, &tight, &CheckResilience::default());
+            let out =
+                check_program_outcome(&p, model, &tight, &CheckResilience::default()).unwrap();
+            let report = out.report();
 
             // Prefix soundness: nothing invented, nothing over-explored.
-            let got = keys(&out.report.races);
+            let got = keys(&report.races);
             assert!(
                 got.is_subset(&full_keys),
                 "seed {seed} budget {budget}: budgeted run invented races: \
                  {got:?} ⊄ {full_keys:?}"
             );
             assert!(
-                out.report.executions <= full.executions,
+                report.executions <= full.executions,
                 "seed {seed} budget {budget}: explored {} > unbudgeted {}",
-                out.report.executions,
+                report.executions,
                 full.executions
             );
 
@@ -101,7 +103,7 @@ fn budgeted_races_are_a_subset_of_the_unbudgeted_set() {
                 RunStatus::Complete => {
                     // Fit inside the budget: the verdict is the verdict.
                     assert_eq!(got, full_keys, "seed {seed} budget {budget}");
-                    assert_eq!(out.report.executions, full.executions);
+                    assert_eq!(report.executions, full.executions);
                 }
                 RunStatus::Inconclusive { .. } => {
                     // Ran out: a race-free partial report is not a
@@ -134,11 +136,12 @@ fn an_exhausted_budget_is_never_reported_as_complete() {
     let (p, full) = racy.expect("some seed explores more than 4 executions");
     let mut tight = CheckOptions { threads: 1, early_exit: false, ..CheckOptions::default() };
     tight.limits.max_executions = 4;
-    let out = check_program_resilient(&p, MemoryModel::Drfrlx, &tight, &CheckResilience::default());
+    let out = check_program_outcome(&p, MemoryModel::Drfrlx, &tight, &CheckResilience::default())
+        .unwrap();
     assert!(
         !out.status.is_complete(),
         "explored {} of {} executions but claimed Complete",
-        out.report.executions,
+        out.report().executions,
         full.executions
     );
 }

@@ -28,7 +28,7 @@ pub use backend::CoherenceBackend;
 pub use config::SysParams;
 pub use run::{run_workload, run_workload_traced, total_ratio, RunReport};
 pub use sweep::{
-    default_threads, extended_config_jobs, run_matrix, run_matrix_resilient, six_config_jobs,
+    default_threads, extended_config_jobs, run_matrix, run_matrix_outcome, six_config_jobs,
     MatrixOutcome, MatrixResilience, SimJob,
 };
 

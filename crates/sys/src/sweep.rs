@@ -2,12 +2,18 @@
 //! worker threads.
 //!
 //! A [`SimJob`] names one cell of an experiment matrix — a kernel, a
-//! [`SystemConfig`] and the platform [`SysParams`] — and [`run_matrix`]
-//! executes a whole job list on `threads` workers. Every simulation is
-//! deterministic and owns its memory system, so jobs are embarrassingly
-//! parallel; reports come back **in job order**, which makes parallel
-//! and serial sweeps byte-identical (`threads = 1` and `threads = 8`
-//! produce the same `Vec<RunReport>`).
+//! [`SystemConfig`] and the platform [`SysParams`] — and
+//! [`run_matrix_outcome`] executes a whole job list as units of the
+//! engine-shared `drfrlx_core::resilience::Pool` on `threads` workers.
+//! Every simulation is deterministic and owns its memory system, so
+//! jobs are embarrassingly parallel; reports come back **in job
+//! order**, which makes parallel and serial sweeps byte-identical
+//! (`threads = 1` and `threads = 8` produce the same reports).
+//!
+//! There is one execution path. A budget and a fault plan are values
+//! of [`MatrixResilience`], whose default (no budget, no faults) is
+//! the plain sweep; [`run_matrix`] is its strict view, returning every
+//! report or re-raising a failed job's panic.
 //!
 //! The worker count for CLI entry points comes from
 //! [`default_threads`]: the `DRFRLX_THREADS` environment variable if
@@ -15,13 +21,12 @@
 
 use crate::config::SysParams;
 use crate::run::{run_workload, run_workload_traced, RunReport};
-use drfrlx_core::resilience::{Budget, EngineId, ExhaustReason, Fault, FaultPlan, RunStatus};
+use drfrlx_core::resilience::{
+    strict, Attempt, Budget, EngineId, ExhaustReason, FaultPlan, Panic, Pool, RunStatus,
+};
 use drfrlx_core::SystemConfig;
 use hsim_gpu::Kernel;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// One simulation to run: a kernel under one configuration on one
 /// platform.
@@ -124,32 +129,17 @@ pub fn default_threads() -> usize {
 }
 
 /// Run every job on `threads` workers and return the reports **in job
-/// order**, independent of scheduling.
+/// order**, independent of scheduling — the strict view of
+/// [`run_matrix_outcome`] with no budget and no fault plan.
 ///
 /// # Panics
 ///
-/// Panics if a validated job produces a functionally wrong result.
+/// Panics (with the job's own message) if a validated job produces a
+/// functionally wrong result.
 pub fn run_matrix(jobs: &[SimJob], threads: usize) -> Vec<RunReport> {
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads == 1 {
-        return jobs.iter().map(run_job).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let report = run_job(job);
-                *slots[i].lock().expect("slot lock") = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot lock").expect("every job ran"))
-        .collect()
+    run_matrix_outcome(jobs, threads, &MatrixResilience::default())
+        .strict()
+        .expect("a sweep without a budget cannot run out of one")
 }
 
 fn run_job(job: &SimJob) -> RunReport {
@@ -167,19 +157,19 @@ fn run_job(job: &SimJob) -> RunReport {
     report
 }
 
-/// Resilience policy for [`run_matrix_resilient`]. The default —
-/// no budget, no fault plan — behaves like [`run_matrix`] except that
-/// a panicking job degrades the sweep instead of aborting it.
+/// Resilience policy for [`run_matrix_outcome`] (and, as
+/// `ConformResilience`, for a conformance run). The default — no
+/// budget, no fault plan — is the plain sweep.
 #[derive(Clone, Default)]
 pub struct MatrixResilience {
-    /// Shared resource budget (deadline / cancel flag), polled once
-    /// per job claim; a deadline also arms a watchdog thread.
+    /// Shared resource budget (deadline / cancel flag), polled before
+    /// every job attempt; a deadline also arms a watchdog thread.
     pub budget: Option<Arc<Budget>>,
     /// Deterministic fault injection (chaos testing only).
     pub fault_plan: Option<FaultPlan>,
 }
 
-/// Result of a resilient sweep.
+/// Result of a sweep.
 pub struct MatrixOutcome {
     /// One slot per job, **in job order**; `None` where the job was
     /// lost (panicked twice) or never ran (budget trip).
@@ -187,165 +177,53 @@ pub struct MatrixOutcome {
     /// How the sweep ended: `Degraded` names lost jobs, and
     /// `Inconclusive`'s frontier names jobs still to run.
     pub status: RunStatus,
+    /// The panic of the first lost job, for strict callers to re-raise.
+    pub panic: Option<Panic>,
 }
 
 impl MatrixOutcome {
-    /// The completed reports with their job indices, in job order.
-    pub fn completed(&self) -> impl Iterator<Item = (usize, &RunReport)> {
-        self.reports.iter().enumerate().filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
+    /// Every report, when the sweep completed; a lost job re-raises
+    /// its panic.
+    ///
+    /// # Errors
+    ///
+    /// The budget's [`ExhaustReason`] when the sweep is inconclusive.
+    pub fn strict(self) -> Result<Vec<RunReport>, ExhaustReason> {
+        strict(&self.status, self.panic)?;
+        Ok(self.reports.into_iter().map(|r| r.expect("a complete sweep ran every job")).collect())
     }
 }
 
-/// How long an injected stall waits for the watchdog before failing
-/// on its own.
-const STALL_FALLBACK: Duration = Duration::from_millis(25);
-
-/// [`run_matrix`], resilient: every job runs under `catch_unwind` and
-/// is retried once before being reported lost, the budget is polled
-/// between job claims (with a watchdog thread flipping the cancel
-/// flag at the deadline), and a seeded [`FaultPlan`] can inject
-/// panics, stalls and exhaustion per `(job, attempt)` — the same
-/// discipline as the checker's shard pool. Never panics, never
-/// aborts: the outcome is `Complete`, `Degraded { lost }` or
-/// `Inconclusive { reason, frontier }`, and completed reports stay in
-/// job order either way.
-pub fn run_matrix_resilient(
+/// The sweep's one execution path: every job is a unit of the
+/// engine-shared [`Pool`] — run under `catch_unwind` and retried once
+/// before being reported lost, with the budget polled before every
+/// attempt (a watchdog thread flips the cancel flag at the deadline)
+/// and a seeded [`FaultPlan`] injecting panics, stalls and exhaustion
+/// per `(job, attempt)`. Never panics, never aborts: the outcome is
+/// `Complete`, `Degraded { lost }` or `Inconclusive { reason, frontier }`,
+/// and completed reports stay in job order either way.
+pub fn run_matrix_outcome(
     jobs: &[SimJob],
     threads: usize,
     res: &MatrixResilience,
 ) -> MatrixOutcome {
-    let threads = threads.clamp(1, jobs.len().max(1));
-    let exhausted: Mutex<Option<ExhaustReason>> = Mutex::new(None);
-    let lost: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let slots: Vec<Mutex<Option<RunReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-
-    // One job, first try plus at most one retry.
-    let run_one = |i: usize| {
-        for attempt in 0..2 {
-            let fault =
-                res.fault_plan.as_ref().and_then(|pl| pl.fault_for(EngineId::Sweep, i, attempt));
-            match fault {
-                Some(Fault::Stall) => {
-                    let cap = Instant::now() + STALL_FALLBACK;
-                    while !res.budget.as_deref().is_some_and(Budget::cancelled)
-                        && Instant::now() < cap
-                    {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    continue;
-                }
-                Some(Fault::Exhaust) => continue,
-                _ => {}
-            }
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                if matches!(fault, Some(Fault::Panic)) {
-                    panic!("injected fault: sweep job {i} attempt {attempt}");
-                }
-                run_job(&jobs[i])
-            }));
-            if let Ok(report) = r {
-                *slots[i].lock().expect("slot lock") = Some(report);
-                return;
-            }
-        }
-        lost.lock().expect("lost lock").push(i);
+    let pool = Pool {
+        budget: res.budget.as_deref(),
+        faults: res.fault_plan,
+        ..Pool::new(EngineId::Sweep, threads)
     };
-    // Budget poll at job-claim granularity: simulations have no
-    // in-loop poll sites, so this is where a deadline or cancellation
-    // takes effect.
-    let claimable = || {
-        if exhausted.lock().expect("exhausted lock").is_some() {
-            return false;
-        }
-        if let Some(b) = &res.budget {
-            if let Err(r) = b.check(0) {
-                let mut g = exhausted.lock().expect("exhausted lock");
-                if g.is_none() {
-                    *g = Some(r);
-                }
-                return false;
-            }
-        }
-        true
-    };
-
-    let done = AtomicBool::new(false);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        if let Some(b) = res.budget.clone() {
-            if let Some(deadline) = b.deadline() {
-                let done = &done;
-                scope.spawn(move || {
-                    while !done.load(Ordering::Relaxed) {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            b.cancel();
-                            break;
-                        }
-                        std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
-                    }
-                });
-            }
-        }
-        if threads == 1 {
-            for i in 0..jobs.len() {
-                if !claimable() {
-                    break;
-                }
-                run_one(i);
-            }
-        } else {
-            let (next, run_one, claimable) = (&next, &run_one, &claimable);
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() || !claimable() {
-                            break;
-                        }
-                        run_one(i);
-                    })
-                })
-                .collect();
-            for w in workers {
-                let _ = w.join();
-            }
-        }
-        done.store(true, Ordering::Relaxed);
-    });
-
-    let mut lost = lost.into_inner().expect("lost lock");
-    lost.sort_unstable();
-    let reports: Vec<Option<RunReport>> =
-        slots.into_iter().map(|s| s.into_inner().expect("slot lock")).collect();
-    let exhausted = exhausted.into_inner().expect("exhausted lock");
-    let frontier: Vec<usize> = reports
-        .iter()
-        .enumerate()
-        .filter(|(i, r)| r.is_none() && !lost.contains(i))
-        .map(|(i, _)| i)
-        .collect();
-    let status = if !frontier.is_empty() {
-        let mut f = frontier;
-        f.extend_from_slice(&lost);
-        f.sort_unstable();
-        RunStatus::Inconclusive {
-            reason: exhausted.unwrap_or(ExhaustReason::Cancelled),
-            frontier: f,
-        }
-    } else if !lost.is_empty() {
-        RunStatus::Degraded { lost }
-    } else {
-        RunStatus::Complete
-    };
-    MatrixOutcome { reports, status }
+    let run = pool.run(jobs.len(), &|i, _| Attempt::Done(run_job(&jobs[i])));
+    MatrixOutcome { reports: run.results, status: run.status, panic: run.panic }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drfrlx_core::resilience::Fault;
     use drfrlx_core::OpClass;
     use hsim_gpu::{Op, RmwKind, WorkItem};
+    use std::panic::AssertUnwindSafe;
+    use std::time::Duration;
 
     struct Hammer {
         n: usize,
@@ -435,9 +313,8 @@ mod tests {
         assert!(run_matrix(&[], 4).is_empty());
     }
 
-    #[test]
-    #[should_panic(expected = "wrong result")]
-    fn validation_failures_panic_with_context() {
+    /// Six jobs of a kernel whose validation always fails.
+    fn broken_jobs() -> Vec<SimJob> {
         struct Broken;
         impl Kernel for Broken {
             fn name(&self) -> String {
@@ -465,9 +342,13 @@ mod tests {
                 Err("always wrong".into())
             }
         }
-        let params = SysParams::integrated();
-        let jobs = six_config_jobs("broken", Arc::new(Broken), &params, true);
-        run_matrix(&jobs, 1);
+        six_config_jobs("broken", Arc::new(Broken), &SysParams::integrated(), true)
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong result")]
+    fn validation_failures_panic_with_context() {
+        run_matrix(&broken_jobs(), 1);
     }
 
     #[test]
@@ -476,19 +357,34 @@ mod tests {
     }
 
     #[test]
-    fn resilient_complete_sweep_matches_run_matrix() {
+    fn parallel_outcome_matches_the_serial_strict_view() {
         let jobs = hammer_matrix();
-        let plain = run_matrix(&jobs, 1);
-        for threads in [1usize, 4] {
-            let out = run_matrix_resilient(&jobs, threads, &MatrixResilience::default());
-            assert_eq!(out.status, RunStatus::Complete, "t={threads}");
-            for (i, r) in out.reports.iter().enumerate() {
-                let r = r.as_ref().expect("complete sweep fills every slot");
-                assert_eq!(r.cycles, plain[i].cycles, "job {i}");
-                assert_eq!(r.counters, plain[i].counters, "job {i}");
-                assert_eq!(r.memory, plain[i].memory, "job {i}");
-            }
+        let serial = run_matrix(&jobs, 1);
+        let out = run_matrix_outcome(&jobs, 4, &MatrixResilience::default());
+        assert_eq!(out.status, RunStatus::Complete);
+        assert!(out.panic.is_none());
+        assert_eq!(out.reports.len(), jobs.len());
+        for (i, r) in out.reports.iter().enumerate() {
+            let r = r.as_ref().expect("complete sweep fills every slot");
+            assert_eq!(r.config, jobs[i].config, "job {i} is in its own slot");
+            assert_eq!(r.cycles, serial[i].cycles, "job {i}");
+            assert_eq!(r.counters, serial[i].counters, "job {i}");
+            assert_eq!(r.memory, serial[i].memory, "job {i}");
         }
+    }
+
+    #[test]
+    fn the_strict_view_reraises_the_lost_jobs_own_panic() {
+        let jobs = hammer_matrix();
+        let res = MatrixResilience {
+            fault_plan: Some(FaultPlan::pinned(EngineId::Sweep, 4, 2, Fault::Panic)),
+            ..MatrixResilience::default()
+        };
+        let out = run_matrix_outcome(&jobs, 2, &res);
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| out.strict()))
+            .expect_err("a lost job panics the strict view");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("unit 4 attempt 1"), "{msg}");
     }
 
     #[test]
@@ -499,7 +395,7 @@ mod tests {
             fault_plan: Some(FaultPlan::pinned(EngineId::Sweep, 5, 1, Fault::Panic)),
             ..MatrixResilience::default()
         };
-        let out = run_matrix_resilient(&jobs, 1, &res);
+        let out = run_matrix_outcome(&jobs, 1, &res);
         assert_eq!(out.status, RunStatus::Complete);
         // Two panics: the job is lost, the rest of the sweep survives.
         let res = MatrixResilience {
@@ -507,47 +403,18 @@ mod tests {
             ..MatrixResilience::default()
         };
         for threads in [1usize, 4] {
-            let out = run_matrix_resilient(&jobs, threads, &res);
+            let out = run_matrix_outcome(&jobs, threads, &res);
             assert_eq!(out.status, RunStatus::Degraded { lost: vec![5] }, "t={threads}");
             assert!(out.reports[5].is_none());
-            assert_eq!(out.completed().count(), jobs.len() - 1);
+            assert_eq!(out.reports.iter().flatten().count(), jobs.len() - 1);
         }
     }
 
     #[test]
     fn a_panicking_validation_degrades_instead_of_aborting() {
-        struct Broken;
-        impl Kernel for Broken {
-            fn name(&self) -> String {
-                "broken".into()
-            }
-            fn blocks(&self) -> usize {
-                1
-            }
-            fn threads_per_block(&self) -> usize {
-                1
-            }
-            fn memory_words(&self) -> usize {
-                4
-            }
-            fn item(&self, _b: usize, _t: usize) -> Box<dyn WorkItem> {
-                struct Item;
-                impl WorkItem for Item {
-                    fn next(&mut self, _last: Option<u64>) -> Op {
-                        Op::Done
-                    }
-                }
-                Box::new(Item)
-            }
-            fn validate(&self, _mem: &[u64]) -> Result<(), String> {
-                Err("always wrong".into())
-            }
-        }
-        let params = SysParams::integrated();
-        let jobs = six_config_jobs("broken", Arc::new(Broken), &params, true);
-        let out = run_matrix_resilient(&jobs, 2, &MatrixResilience::default());
+        let out = run_matrix_outcome(&broken_jobs(), 2, &MatrixResilience::default());
         assert_eq!(out.status, RunStatus::Degraded { lost: (0..6).collect() });
-        assert_eq!(out.completed().count(), 0);
+        assert_eq!(out.reports.iter().flatten().count(), 0);
     }
 
     #[test]
@@ -557,7 +424,7 @@ mod tests {
             budget: Some(Arc::new(Budget::with_timeout(Duration::from_secs(0)))),
             ..MatrixResilience::default()
         };
-        let out = run_matrix_resilient(&jobs, 2, &res);
+        let out = run_matrix_outcome(&jobs, 2, &res);
         match out.status {
             RunStatus::Inconclusive { reason, frontier } => {
                 assert!(
@@ -578,10 +445,11 @@ mod tests {
                 fault_plan: Some(FaultPlan::seeded(seed)),
                 ..MatrixResilience::default()
             };
-            let a = run_matrix_resilient(&jobs, 1, &res);
-            let b = run_matrix_resilient(&jobs, 1, &res);
+            let a = run_matrix_outcome(&jobs, 1, &res);
+            let b = run_matrix_outcome(&jobs, 1, &res);
             assert_eq!(a.status, b.status, "seed {seed}");
-            let done = |o: &MatrixOutcome| o.completed().map(|(i, _)| i).collect::<Vec<_>>();
+            let done =
+                |o: &MatrixOutcome| o.reports.iter().map(Option::is_some).collect::<Vec<_>>();
             assert_eq!(done(&a), done(&b), "seed {seed}");
         }
     }

@@ -16,9 +16,7 @@
 //! The help text, README table and unknown-subcommand error are all
 //! rendered from the one table in [`drfrlx::cli`].
 
-use drfrlx::model::checker::{
-    check_program_resilient, check_program_with, CheckOptions, CheckResilience,
-};
+use drfrlx::model::checker::{check_program_outcome, CheckOptions, CheckResilience};
 use drfrlx::model::emit::emit;
 use drfrlx::model::exec::{enumerate_sc, EnumLimits, Reduction};
 use drfrlx::model::infer::infer;
@@ -95,8 +93,9 @@ fn ok01(clean: bool) -> CmdResult {
 }
 
 /// The `--timeout-secs`, `--checkpoint`, `--resume` and `--chaos-seed`
-/// flags shared by `check` and `conform`. Any of them engages the
-/// resilient execution path; all default off.
+/// flags shared by `check` and `conform`. They only set values of the
+/// one execution path (a budget, a fault plan, a checkpoint); all
+/// default off.
 struct ResilienceFlags<'a> {
     timeout: Option<f64>,
     chaos_seed: Option<u64>,
@@ -127,13 +126,6 @@ impl<'a> ResilienceFlags<'a> {
             checkpoint: flag_value(args, "--checkpoint"),
             resume: flag_value(args, "--resume"),
         })
-    }
-
-    fn engaged(&self) -> bool {
-        self.timeout.is_some()
-            || self.chaos_seed.is_some()
-            || self.checkpoint.is_some()
-            || self.resume.is_some()
     }
 
     fn budget(&self) -> Option<Arc<Budget>> {
@@ -223,59 +215,45 @@ fn cmd_check(args: &[String]) -> CmdResult {
 
     let mut clean = true;
     let mut inconclusive = false;
-    if !res_flags.engaged() {
+    let budget = res_flags.budget();
+    for model in models {
+        let mut limits = limits.clone();
+        limits.budget = budget.clone();
         let opts = CheckOptions { limits, threads, reduction, ..CheckOptions::default() };
-        for model in models {
-            match check_program_with(&p, model, &opts) {
-                Ok(report) => print_report(&report, &mut clean),
-                Err(e) => {
-                    inconclusive = true;
-                    println!("{model}: INCONCLUSIVE ({e})");
-                }
-            }
+        let mut res = CheckResilience { fault_plan: res_flags.fault_plan(), ..Default::default() };
+        if let Some(path) = res_flags.resume {
+            let text = std::fs::read_to_string(path)?;
+            (res.total_shards, res.completed) =
+                drfrlx::checkpoint::parse_check_checkpoint(&text, &p, model, &opts)?;
         }
-    } else {
-        let budget = res_flags.budget();
-        for model in models {
-            let mut limits = limits.clone();
-            limits.budget = budget.clone();
-            let opts = CheckOptions { limits, threads, reduction, ..CheckOptions::default() };
-            let completed = match res_flags.resume {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)?;
-                    drfrlx::checkpoint::parse_check_checkpoint(&text, &p, model, &opts)?
-                }
-                None => Vec::new(),
-            };
-            let res = CheckResilience { fault_plan: res_flags.fault_plan(), completed };
-            let out = check_program_resilient(&p, model, &opts, &res);
-            if out.status.is_complete() || !out.report.is_race_free() {
-                print_report(&out.report, &mut clean);
-            } else {
-                println!(
-                    "{model}: INCONCLUSIVE (no races in {} SC executions explored)",
-                    out.report.executions
-                );
-            }
-            if !out.status.is_complete() {
-                inconclusive = true;
-                println!(
-                    "  status: {} — {} of {} shards completed",
-                    out.status,
-                    out.shards.len(),
-                    out.total_shards
-                );
-            }
-            if let Some(path) = res_flags.checkpoint {
-                create_parent_dirs(std::path::Path::new(path))?;
-                let rendered = drfrlx::checkpoint::render_check_checkpoint(&p, model, &opts, &out);
-                std::fs::write(path, rendered)?;
-                eprintln!(
-                    "[checkpoint: wrote {path} ({} of {} shards)]",
-                    out.shards.len(),
-                    out.total_shards
-                );
-            }
+        let out = check_program_outcome(&p, model, &opts, &res)?;
+        let report = out.report();
+        if out.status.is_complete() || !report.is_race_free() {
+            print_report(&report, &mut clean);
+        } else {
+            println!(
+                "{model}: INCONCLUSIVE (no races in {} SC executions explored)",
+                report.executions
+            );
+        }
+        if !out.status.is_complete() {
+            inconclusive = true;
+            println!(
+                "  status: {} — {} of {} shards completed",
+                out.status,
+                out.shards.len(),
+                out.total_shards
+            );
+        }
+        if let Some(path) = res_flags.checkpoint {
+            create_parent_dirs(std::path::Path::new(path))?;
+            let rendered = drfrlx::checkpoint::render_check_checkpoint(&p, model, &opts, &out);
+            std::fs::write(path, rendered)?;
+            eprintln!(
+                "[checkpoint: wrote {path} ({} of {} shards)]",
+                out.shards.len(),
+                out.total_shards
+            );
         }
     }
     Ok(if !clean {
@@ -473,9 +451,9 @@ fn cmd_bench(args: &[String]) -> CmdResult {
 
 fn cmd_conform(args: &[String]) -> CmdResult {
     use drfrlx::conform::{
-        check_conformance, check_conformance_resilient, generate, is_unsound, render_corpus,
-        render_summary, resume_campaign, run_corpus, run_template_corpus, shrink, CampaignState,
-        ConformError, ConformOptions, ConformResilience,
+        check_conformance_outcome, generate, is_unsound, render_corpus, render_summary,
+        resume_campaign, run_corpus, run_template_corpus, shrink, CampaignState, ConformError,
+        ConformOptions, ConformResilience,
     };
     use drfrlx::litmus::all_tests;
 
@@ -622,38 +600,22 @@ fn cmd_conform(args: &[String]) -> CmdResult {
             .map(|t| (t.build)())
             .ok_or_else(|| format!("unknown litmus test `{target}` (or pass a .litmus path)"))?
     };
-    if res_flags.engaged() {
-        let out = check_conformance_resilient(&p, &opts, &res)?;
-        return Ok(match out.report {
-            Some(r) => {
-                print_report(&r);
-                if !out.status.is_complete() {
-                    println!("status: {}", out.status);
-                }
-                if !r.sound() {
-                    EXIT_FINDING
-                } else if !out.status.is_complete() {
-                    EXIT_INCONCLUSIVE
-                } else {
-                    EXIT_CLEAN
-                }
-            }
-            None => {
-                println!("status: {}", out.status);
-                EXIT_INCONCLUSIVE
-            }
-        });
-    }
-    let r = match check_conformance(&p, &opts) {
-        Ok(r) => r,
-        Err(ConformError::Oracle(e)) => {
-            eprintln!("inconclusive: {e}");
-            return Ok(EXIT_INCONCLUSIVE);
-        }
-        Err(e) => return Err(e.into()),
+    let out = check_conformance_outcome(&p, &opts, &res)?;
+    let Some(r) = out.report else {
+        println!("status: {}", out.status);
+        return Ok(EXIT_INCONCLUSIVE);
     };
     print_report(&r);
-    Ok(if r.sound() { EXIT_CLEAN } else { EXIT_FINDING })
+    if !out.status.is_complete() {
+        println!("status: {}", out.status);
+    }
+    Ok(if !r.sound() {
+        EXIT_FINDING
+    } else if !out.status.is_complete() {
+        EXIT_INCONCLUSIVE
+    } else {
+        EXIT_CLEAN
+    })
 }
 
 /// Is `arg` the operand of a `--flag value` pair (so not a positional)?

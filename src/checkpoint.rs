@@ -12,7 +12,11 @@
 //! Every checkpoint embeds a fingerprint of the program and the
 //! options that shaped the run. A resume under different options
 //! would silently merge incompatible work, so a fingerprint mismatch
-//! is a hard error.
+//! is a hard error. A checker checkpoint also carries a digest of its
+//! payload (`total_shards` and every shard record): an edited or
+//! truncated file that still parses could otherwise drop findings, so
+//! a digest mismatch is a hard error too. Both are SplitMix64 folds —
+//! integrity checks against accidents, not cryptographic MACs.
 
 use crate::bench::json::{escape, parse_json, Json};
 use crate::conform::{CampaignState, ConformOptions};
@@ -61,6 +65,26 @@ pub fn fuzz_fingerprint(opts: &ConformOptions) -> u64 {
     mix64(h ^ opts.limits.max_executions as u64)
 }
 
+/// Digest of a checker checkpoint's payload: the plan size and every
+/// field of every shard record, in file order.
+fn records_digest(total_shards: usize, shards: &[ShardRecord]) -> u64 {
+    let nums = |h: u64, ns: &[usize]| ns.iter().fold(h, |h, &n| mix64(h ^ n as u64));
+    let mut h = nums(0xD16E_5700, &[total_shards]);
+    for r in shards {
+        let s = r.stats;
+        let head = [r.index, s.explored, s.pruned, s.memo_pruned, s.table_peak];
+        h = nums(h, &head);
+        h = nums(h, &[r.saturated as usize, r.races.len()]);
+        for f in &r.races {
+            let (kind, (at, ai), (bt, bi)) = f.key;
+            h = fold(h, kind_tag(kind).as_bytes());
+            h = nums(h, &[f.exec_index, f.race.a, f.race.b, at, ai, bt, bi]);
+            h = fold(h, f.description.as_bytes());
+        }
+    }
+    h
+}
+
 fn kind_tag(k: RaceKind) -> &'static str {
     match k {
         RaceKind::Data => "data",
@@ -84,9 +108,10 @@ fn kind_from(tag: &str) -> Option<RaceKind> {
     })
 }
 
-/// Render a checker checkpoint: fingerprint + the completed shard
-/// records of `outcome` (its `shards` field is exactly the payload
-/// [`crate::model::checker::check_program_resilient`] resumes from).
+/// Render a checker checkpoint: fingerprint, plan size, payload digest
+/// and the completed shard records of `outcome` (its `shards` field is
+/// exactly the payload [`crate::model::checker::check_program_outcome`]
+/// resumes from).
 pub fn render_check_checkpoint(
     p: &Program,
     model: MemoryModel,
@@ -97,11 +122,12 @@ pub fn render_check_checkpoint(
     let _ = write!(
         out,
         "{{\"kind\":\"check\",\"fingerprint\":\"{:016x}\",\"program\":\"{}\",\
-         \"model\":\"{}\",\"total_shards\":{},\"shards\":[",
+         \"model\":\"{}\",\"total_shards\":{},\"digest\":\"{:016x}\",\"shards\":[",
         check_fingerprint(p, model, opts),
         escape(p.name()),
         model,
-        outcome.total_shards
+        outcome.total_shards,
+        records_digest(outcome.total_shards, &outcome.shards)
     );
     for (i, r) in outcome.shards.iter().enumerate() {
         if i > 0 {
@@ -172,18 +198,23 @@ fn expect_fingerprint(j: &Json, kind: &str, fp: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse a checker checkpoint back into the completed-shard records,
-/// verifying it belongs to exactly this `(program, model, options)`.
+/// Parse a checker checkpoint back into its plan size and
+/// completed-shard records (the `total_shards` and `completed` of a
+/// [`crate::model::checker::CheckResilience`]), verifying it belongs to
+/// exactly this `(program, model, options)` and that its payload is
+/// the one that was written. Whether the plan size fits the program is
+/// checked when the run resumes.
 ///
 /// # Errors
 ///
-/// Malformed JSON, a missing field, or a fingerprint mismatch.
+/// Malformed JSON, a missing field, a fingerprint mismatch, or a
+/// digest mismatch.
 pub fn parse_check_checkpoint(
     text: &str,
     p: &Program,
     model: MemoryModel,
     opts: &CheckOptions,
-) -> Result<Vec<ShardRecord>, String> {
+) -> Result<(usize, Vec<ShardRecord>), String> {
     let j = parse_json(text)?;
     expect_fingerprint(&j, "check", check_fingerprint(p, model, opts))?;
     let mut shards = Vec::new();
@@ -216,7 +247,16 @@ pub fn parse_check_checkpoint(
             races,
         });
     }
-    Ok(shards)
+    let total_shards = usize_field(&j, "total_shards")?;
+    let want = format!("{:016x}", records_digest(total_shards, &shards));
+    let got = str_field(&j, "digest")?;
+    if got != want {
+        return Err(format!(
+            "checkpoint digest {got} does not match its shard records ({want}); \
+             the file was altered or truncated"
+        ));
+    }
+    Ok((total_shards, shards))
 }
 
 /// Render a fuzz-campaign checkpoint. Seeds are serialized as strings:
@@ -286,7 +326,7 @@ pub fn parse_fuzz_checkpoint(text: &str, opts: &ConformOptions) -> Result<Campai
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::checker::{check_program_resilient, CheckResilience};
+    use crate::model::checker::{check_program_outcome, CheckResilience};
     use crate::OpClass;
 
     fn racy() -> Program {
@@ -305,9 +345,12 @@ mod tests {
         let p = racy();
         let opts = CheckOptions { early_exit: false, ..CheckOptions::default() };
         let out =
-            check_program_resilient(&p, MemoryModel::Drfrlx, &opts, &CheckResilience::default());
+            check_program_outcome(&p, MemoryModel::Drfrlx, &opts, &CheckResilience::default())
+                .unwrap();
         let text = render_check_checkpoint(&p, MemoryModel::Drfrlx, &opts, &out);
-        let shards = parse_check_checkpoint(&text, &p, MemoryModel::Drfrlx, &opts).unwrap();
+        let (total, shards) =
+            parse_check_checkpoint(&text, &p, MemoryModel::Drfrlx, &opts).unwrap();
+        assert_eq!(total, out.total_shards);
         assert_eq!(shards.len(), out.shards.len());
         for (a, b) in shards.iter().zip(&out.shards) {
             assert_eq!(a.index, b.index);
@@ -328,7 +371,8 @@ mod tests {
         let p = racy();
         let opts = CheckOptions::default();
         let out =
-            check_program_resilient(&p, MemoryModel::Drfrlx, &opts, &CheckResilience::default());
+            check_program_outcome(&p, MemoryModel::Drfrlx, &opts, &CheckResilience::default())
+                .unwrap();
         let text = render_check_checkpoint(&p, MemoryModel::Drfrlx, &opts, &out);
         // Same file, different model: refused.
         let err = parse_check_checkpoint(&text, &p, MemoryModel::Drf0, &opts).unwrap_err();

@@ -41,14 +41,13 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
                (sleep sets plus duplicate-state memoization — needed for\n\
                programs whose conflicting operations defeat sleep sets alone).\n\
                --stats prints the per-model reduction counters (explored /\n\
-               sleep-set-pruned / memo-pruned / peak-table-size). The\n\
-               resilience flags engage the fault-isolated sharded runner:\n\
-               --timeout-secs arms a wall-clock watchdog, --checkpoint FILE\n\
-               saves the completed shards, --resume FILE continues from such\n\
-               a checkpoint (with --model pinned; the resumed report is\n\
-               byte-identical to an uninterrupted run), and --chaos-seed\n\
-               deterministically injects shard faults (testing only). Threads\n\
-               default to all cores (or DRFRLX_THREADS).",
+               sleep-set-pruned / memo-pruned / peak-table-size).\n\
+               --timeout-secs adds a wall-clock deadline to the same run,\n\
+               --checkpoint FILE saves the completed shards, --resume FILE\n\
+               continues from such a checkpoint (with --model pinned; the\n\
+               resumed report is byte-identical to an uninterrupted run), and\n\
+               --chaos-seed deterministically injects shard faults (testing\n\
+               only). Threads default to all cores (or DRFRLX_THREADS).",
     },
     Subcommand {
         name: "explore",

@@ -3,13 +3,18 @@
 //! when a run ends without a verdict (budget exhausted, degraded) and
 //! 101 on an internal error — so CI can tell "the program is racy"
 //! from "the checker fell over". Also exercises the checkpoint/resume
-//! round trip through the real binary.
+//! round trip through the real binary, checkpoint integrity, and the
+//! one report a budget-exhausted run prints.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn drfrlx(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_drfrlx")).args(args).output().expect("binary runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
 fn code(out: &Output) -> i32 {
@@ -164,4 +169,130 @@ fn conform_fuzz_exits_0_and_checkpoints_round_trip() {
         drfrlx(&["conform", "--fuzz", "2", "--seed", "1", "--schedules", "2", "--resume", ckpt]);
     assert_eq!(code(&resumed), 0);
     assert_eq!(stdout(&resumed), summary, "resumed == uninterrupted");
+}
+
+/// Every corpus file under every model, at one thread: checkpoint an
+/// uninterrupted run, resume from it, and the resumed stdout must be
+/// the uninterrupted stdout. Most files finish inside the serial probe
+/// (a one-record plan), which must not be re-read as shard 0 of the
+/// frontier plan; the stress files run under one execution cap on both
+/// legs, so some checkpoints are partial and the resume re-trips the
+/// same budget at the same shard.
+#[test]
+fn every_corpus_file_round_trips_through_a_checkpoint_under_every_model() {
+    let dir = std::env::temp_dir().join(format!("drfrlx_exit_codes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut files: Vec<PathBuf> = std::fs::read_dir("litmus-tests")
+        .expect("corpus dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "litmus"))
+        .collect();
+    files.sort();
+    let names: Vec<String> =
+        files.iter().map(|f| f.file_stem().unwrap().to_string_lossy().into_owned()).collect();
+    for must in ["figure2a", "sb_relaxed", "event_counter", "mp_unpaired"] {
+        assert!(names.iter().any(|n| n == must), "corpus lost {must}");
+    }
+    for (file, name) in files.iter().zip(&names) {
+        for model in ["drf0", "drf1", "drfrlx"] {
+            let ckpt = dir.join(format!("{name}.{model}.ckpt.json"));
+            let mut args =
+                vec!["check", file.to_str().unwrap(), "--model", model, "--threads", "1"];
+            if name.contains("stress") {
+                args.extend_from_slice(&["--max-execs", "2000"]);
+            }
+            let leg = |flag: &str| {
+                let mut a = args.clone();
+                a.extend_from_slice(&[flag, ckpt.to_str().unwrap()]);
+                drfrlx(&a)
+            };
+            let full = leg("--checkpoint");
+            let resumed = leg("--resume");
+            assert_eq!(code(&resumed), code(&full), "{name} {model}: {}", stderr(&resumed));
+            assert_eq!(stdout(&resumed), stdout(&full), "{name} {model}: resumed == uninterrupted");
+        }
+    }
+}
+
+/// Write a checkpoint for `src` under DRFrlx, let `tamper` edit it, and
+/// return the resume's output.
+fn resume_tampered(name: &str, src: &str, tamper: impl Fn(&str) -> String) -> Output {
+    let file = litmus_file(&format!("{name}.litmus"), src);
+    let path = file.to_str().unwrap();
+    let ckpt = file.with_file_name(format!("{name}.ckpt.json"));
+    let ckpt = ckpt.to_str().unwrap();
+    let args = ["check", path, "--model", "drfrlx", "--threads", "1"];
+    let written = drfrlx(&[&args[..], &["--checkpoint", ckpt]].concat());
+    assert!(matches!(code(&written), 0 | 2), "{}", stderr(&written));
+    let text = std::fs::read_to_string(ckpt).expect("checkpoint written");
+    let edited = tamper(&text);
+    assert_ne!(edited, text, "the tamper must change the file");
+    std::fs::write(ckpt, edited).expect("checkpoint rewritten");
+    drfrlx(&[&args[..], &["--resume", ckpt]].concat())
+}
+
+fn assert_rejected(out: &Output) {
+    let err = stderr(out);
+    assert_eq!(code(out), 101, "a tampered checkpoint is an error: {}", stdout(out));
+    assert!(err.starts_with("error: ") && err.contains("digest"), "{err}");
+    assert!(stdout(out).is_empty(), "nothing merged: {}", stdout(out));
+}
+
+#[test]
+fn a_checkpoint_with_its_races_emptied_is_rejected() {
+    let src = std::fs::read_to_string("litmus-tests/sb_relaxed.litmus").expect("corpus file");
+    let out = resume_tampered("sb_tampered", &src, |text| {
+        // sb_relaxed finishes in the probe: one record, whose races
+        // array runs to the end of the document.
+        let start = text.find("\"races\":[").expect("races array") + "\"races\":[".len();
+        format!("{}]}}]}}\n", &text[..start])
+    });
+    assert_rejected(&out);
+}
+
+#[test]
+fn a_checkpoint_missing_one_shard_record_is_rejected() {
+    let out = resume_tampered("wide_tampered", WIDE, |text| {
+        let records: Vec<usize> = text.match_indices("{\"index\":").map(|(i, _)| i).collect();
+        assert!(records.len() > 2, "the wide program shards");
+        format!("{}{}", &text[..records[1]], &text[records[2]..])
+    });
+    assert_rejected(&out);
+}
+
+/// One budget, one report: a budget-exhausted, race-free run prints
+/// the same stdout whether or not a deadline is also set.
+#[test]
+fn a_budget_exhausted_run_prints_one_report_with_or_without_a_deadline() {
+    let wide = litmus_file("wide_budget.litmus", WIDE);
+    let seqlock = "litmus-tests/seqlock_counter_stress.litmus";
+    let run = |file: &str, extra: &[&str]| {
+        let args = [&["check", file, "--model", "drfrlx", "--threads", "1"][..], extra].concat();
+        drfrlx(&args)
+    };
+    let plain = run(wide.to_str().unwrap(), &["--max-execs", "600"]);
+    assert_eq!(code(&plain), 3);
+    assert_eq!(
+        stdout(&plain),
+        "DRFrlx: INCONCLUSIVE (no races in 590 SC executions explored)\n  \
+         status: inconclusive (execution budget (600) exhausted; 50 unit(s) unfinished) \
+         — 28 of 78 shards completed\n"
+    );
+    let timed = run(wide.to_str().unwrap(), &["--max-execs", "600", "--timeout-secs", "100"]);
+    assert_eq!((code(&timed), stdout(&timed)), (3, stdout(&plain)));
+    // The stress program that used to print two different reports.
+    let plain = run(seqlock, &["--max-execs", "2000"]);
+    let timed = run(seqlock, &["--max-execs", "2000", "--timeout-secs", "100"]);
+    assert_eq!(code(&plain), 3);
+    assert_eq!((code(&timed), stdout(&timed)), (3, stdout(&plain)));
+    // At more than one thread the completed prefix depends on timing;
+    // the verdict and the exit code do not.
+    for extra in [&["--max-execs", "600"][..], &["--max-execs", "600", "--timeout-secs", "100"]] {
+        let args =
+            [&["check", wide.to_str().unwrap(), "--model", "drfrlx", "--threads", "2"], extra]
+                .concat();
+        let out = drfrlx(&args);
+        assert_eq!(code(&out), 3);
+        assert!(stdout(&out).starts_with("DRFrlx: INCONCLUSIVE (no races in "), "{}", stdout(&out));
+    }
 }
