@@ -1,12 +1,13 @@
 //! Benchmarks for the substrate crates: NoC message timelines, cache
-//! arrays, relation algebra, and the fixed cost every simulation run
-//! pays (building a memory system; one whole conformance run). Plain
-//! `harness = false` timing (offline-friendly).
+//! arrays, relation algebra, and the fixed costs simulations pay
+//! (building a memory system; one whole conformance run; building a
+//! micro kernel). Plain `harness = false` timing (offline-friendly).
 
 use drfrlx_bench::timing::{bench, TimingConfig};
 use drfrlx_conform::{compile, schedule_params, table1_corpus};
 use drfrlx_core::relation::Relation;
 use drfrlx_core::{Protocol, SystemConfig};
+use drfrlx_workloads::registry::microbenchmarks;
 use hsim_coherence::{MemSysParams, MemorySystem};
 use hsim_mem::{Cache, CacheParams, LineAddr};
 use hsim_noc::{Mesh, NocParams, NodeId};
@@ -54,6 +55,14 @@ fn main() {
     let config = SystemConfig::from_abbrev("DDR").expect("DDR is a config");
     let params = schedule_params(&SysParams::integrated(), 1, 1);
     bench("conform/one_run", &cfg, || run_workload(&shape, config, &params).cycles);
+
+    // Kernel build: a registry micro kernel built and dropped — what a
+    // sweep pays once per spec and platform before its first run.
+    let micros = microbenchmarks();
+    for name in ["H", "HG", "HG-NO", "RC"] {
+        let spec = micros.iter().find(|s| s.name == name).expect("a Table 3 microbenchmark");
+        bench(&format!("kernel/build/{name}"), &cfg, || spec.kernel().blocks());
+    }
 
     let n = 24;
     let r = Relation::from_pairs(n, (0..n - 1).map(|i| (i, i + 1)));

@@ -18,24 +18,41 @@
 //!   window after its body, and every RMW consumes its result
 //!   (`use_result: true`) so outcomes are deterministic functions of
 //!   the interleaving alone.
-//! * [`ProgramKernel::grid`] — the workload shape: threads block-major
-//!   over the grid, a caller-supplied name→address layout, no
+//! * [`ProgramKernel::grid`] — the workload shape: a [`Grid`] of
+//!   thread-parametric bodies, threads block-major, a [`Layout`]
+//!   placing each location family at `base + stride * index`, no
 //!   observation dumps, and `use_result` computed by register liveness
 //!   (an RMW whose destination is never read issues fire-and-forget,
 //!   exactly like hand-written work items pass `use_result: false`).
+//!   Any flat program lowers this way too, one body per thread
+//!   ([`Grid::from_program`]).
 //!
 //! ## Compiled form
 //!
-//! Both modes compile each distinct thread body once into a
-//! [`ThreadCode`]: a flat array of `Copy` micro-ops with every location
-//! already resolved to its word address. An operand is a register, an
-//! `i32` immediate, or a slice of the thread's postfix expression pool
-//! (compound expressions and wider constants). Marker instructions
-//! (`BranchOn`, `Observe`) have no dynamic effect and compile to
-//! nothing; `JumpIfZero` skip counts become absolute micro-op targets.
-//! A [`ProgramItem`] runs one compiled thread over a zero-initialized
-//! `i64` register file — a register never written reads as 0, exactly
-//! as in the axiomatic enumerator.
+//! Both modes compile each body once into a [`ThreadCode`]: a flat
+//! array of `Copy` micro-ops (at most 40 bytes each). An operand is a
+//! register, an `i32` immediate, or a slice of the body's postfix
+//! expression pool (compound expressions and wider constants). Marker
+//! instructions (`BranchOn`, `Observe`) have no dynamic effect and
+//! compile to nothing; `JumpIfZero` skip counts become absolute
+//! micro-op targets. A memory address is resolved to its word at
+//! compile time when it is the same for every grid thread; otherwise
+//! it — like a varying scratch address — names one of the body's *grid
+//! values*: affine in the block and thread ids, or a column of the
+//! thread's table row, with its location family's base and stride
+//! folded in. An item records its ids and where its table row starts
+//! when [`ProgramKernel`] creates it, and evaluates a grid value (one
+//! multiply-add, or one table read) when a micro-op uses it. One
+//! compiled body therefore serves every grid thread, and no name is
+//! looked at after the build.
+//!
+//! A [`ProgramItem`] runs one compiled body over an `i64` register
+//! file that grows to the highest register written — a register never
+//! written reads as 0, exactly as in the axiomatic enumerator. Per run,
+//! a grid thread pays one small allocation, then one micro-op step per
+//! executed instruction; the micro-ops it streams through are shared
+//! with every other thread of its body, so a 480-thread histogram
+//! walks one ~40 KB body instead of 480 distinct ones (~20 MB).
 //!
 //! ## Value domains
 //!
@@ -55,10 +72,12 @@
 
 pub mod templates;
 
-use drfrlx_core::program::{BinOp, Expr, Instr, Loc, Program, Reg, RmwOp, Thread};
+use drfrlx_core::program::{
+    BinOp, Body, Expr, Grid, GridValue, Instr, Loc, Place, Program, Reg, RmwOp, Thread, Value,
+};
 use drfrlx_core::OpClass;
 use hsim_gpu::{Kernel, Op, RmwKind, WorkItem};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -84,18 +103,29 @@ impl fmt::Display for LowerError {
 impl std::error::Error for LowerError {}
 
 /// Where a micro-op reads one value from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Operand {
     /// A register.
     Reg(u16),
     /// A constant that fits in an `i32`.
     Imm(i32),
-    /// The postfix expression `pool[start..end]`.
-    Pooled { start: u32, end: u32 },
+    /// The postfix expression `pool[start..start + len]`.
+    Pooled { start: u32, len: u16 },
+    /// Grid value `k` of the item's grid thread.
+    Value(u16),
+}
+
+/// Where a memory micro-op's word address comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Addr {
+    /// Resolved when the body was compiled.
+    Word(u64),
+    /// Grid value `k` of the item's grid thread.
+    Value(u16),
 }
 
 /// One step of a postfix expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Node {
     Const(i64),
     Reg(u16),
@@ -106,7 +136,7 @@ enum Node {
 /// One compiled instruction. Local ones (`Set`, `JumpIfZero`) run
 /// inside [`ProgramItem::next`]; the rest each yield one simulator
 /// [`Op`]. A `dst` receives the value the engine delivers as `last`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MicroOp {
     Set {
         dst: u16,
@@ -120,18 +150,18 @@ enum MicroOp {
     Think(u32),
     Barrier,
     Load {
-        addr: u64,
+        addr: Addr,
         class: OpClass,
         dst: u16,
     },
     Store {
-        addr: u64,
+        addr: Addr,
         class: OpClass,
         val: Operand,
     },
     /// `dst` is `None` when the result is dead (`use_result: false`).
     Rmw {
-        addr: u64,
+        addr: Addr,
         class: OpClass,
         op: RmwOp,
         operand: Operand,
@@ -148,30 +178,90 @@ enum MicroOp {
     },
 }
 
-/// One program thread compiled for the simulator: flat micro-ops with
-/// resolved addresses, the thread's postfix expression pool, and its
-/// register-file shape. Built once per distinct thread body and shared
-/// by every work item that runs it.
-#[derive(Debug, PartialEq, Eq, Hash)]
+// Every run streams through its micro-ops; keep them small.
+const _: () = assert!(std::mem::size_of::<MicroOp>() <= 40);
+
+/// A grid value as a compiled body reads it, with its location
+/// family's `base + stride * index` folded in (scratch addresses use
+/// stride 1, base 0).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot {
+    /// `base + per_block * block + per_thread * thread`.
+    Affine { base: i64, per_block: i64, per_thread: i64 },
+    /// `offset + scale * row[col]` of the item's table row.
+    Column { col: u32, scale: i64, offset: i64 },
+}
+
+impl Slot {
+    fn new(v: GridValue, scale: i64, offset: i64) -> Slot {
+        match v {
+            GridValue::Affine { base, per_block, per_thread } => Slot::Affine {
+                base: offset.wrapping_add(scale.wrapping_mul(base)),
+                per_block: scale.wrapping_mul(per_block),
+                per_thread: scale.wrapping_mul(per_thread),
+            },
+            GridValue::Column(col) => Slot::Column {
+                col: u32::try_from(col).expect("table columns fit u32"),
+                scale,
+                offset,
+            },
+        }
+    }
+
+    #[inline]
+    fn eval(self, at: GridPos, table: &[Value]) -> i64 {
+        match self {
+            Slot::Affine { base, per_block, per_thread } => base
+                .wrapping_add(per_block.wrapping_mul(at.block))
+                .wrapping_add(per_thread.wrapping_mul(at.thread)),
+            Slot::Column { col, scale, offset } => {
+                offset.wrapping_add(scale.wrapping_mul(table[at.row + col as usize]))
+            }
+        }
+    }
+}
+
+/// The grid thread a work item runs as: its ids and where its row of
+/// the body's table starts.
+#[derive(Debug, Clone, Copy)]
+struct GridPos {
+    block: i64,
+    thread: i64,
+    row: usize,
+}
+
+/// One thread body compiled for the simulator: flat micro-ops with
+/// resolved addresses, the body's postfix expression pool, its
+/// register-file shape, and the grid values its items read. Built once
+/// per body and shared by every work item that runs it.
+#[derive(Debug)]
 pub struct ThreadCode {
     ops: Vec<MicroOp>,
     pool: Vec<Node>,
     /// Deepest evaluation stack any pooled expression needs.
     max_depth: usize,
-    /// Dense register-file size (`0..reg_count`).
+    /// Dense register-file size (`0..reg_count`) of the body itself.
     reg_count: usize,
     /// Register-dump window base, when this thread observes its
     /// registers into memory after the body (litmus mode).
     obs_base: Option<u64>,
+    /// Grid values; the first `addr_slots` are word addresses.
+    slots: Vec<Slot>,
+    addr_slots: usize,
+    /// Per-grid-thread table, `columns` values per row.
+    columns: usize,
+    table: Vec<Value>,
 }
 
 impl ThreadCode {
-    /// Compile `t` with location `l` at word `addrs[l]`. With
-    /// `all_results_used` every RMW consumes its result; otherwise only
-    /// those whose destination a later instruction reads.
+    /// Compile `t` with location `l` at `addrs[l]` and scratch
+    /// instruction `i` addressed by operand `scratch[i]` where given.
+    /// With `all_results_used` every RMW consumes its result; otherwise
+    /// only those whose destination a later instruction reads.
     fn compile(
         t: &Thread,
-        addrs: &[u64],
+        addrs: &[Addr],
+        scratch: &HashMap<usize, Operand>,
         obs_base: Option<u64>,
         all_results_used: bool,
     ) -> ThreadCode {
@@ -194,9 +284,17 @@ impl ThreadCode {
             max_depth: 0,
             reg_count,
             obs_base,
+            slots: Vec::new(),
+            addr_slots: 0,
+            columns: 0,
+            table: Vec::new(),
         };
         for (pc, instr) in instrs.iter().enumerate() {
             let addr = |loc: &Loc| addrs[loc.0 as usize];
+            let scratch_addr = |code: &mut ThreadCode, e: &Expr| match scratch.get(&pc) {
+                Some(&o) => o,
+                None => code.operand(e),
+            };
             let op = match instr {
                 Instr::BranchOn { .. } | Instr::Observe { .. } => continue,
                 Instr::Assign { dst, expr } => MicroOp::Set { dst: dst.0, val: code.operand(expr) },
@@ -221,15 +319,81 @@ impl ThreadCode {
                     dst: (all_results_used || live[pc]).then_some(dst.0),
                 },
                 Instr::ScratchLoad { addr, dst } => {
-                    MicroOp::ScratchLoad { addr: code.operand(addr), dst: dst.0 }
+                    MicroOp::ScratchLoad { addr: scratch_addr(&mut code, addr), dst: dst.0 }
                 }
                 Instr::ScratchStore { addr, val } => {
-                    MicroOp::ScratchStore { addr: code.operand(addr), val: code.operand(val) }
+                    let addr = scratch_addr(&mut code, addr);
+                    MicroOp::ScratchStore { addr, val: code.operand(val) }
                 }
             };
             code.ops.push(op);
         }
         code
+    }
+
+    /// Compile a grid body: place `{family}{i}` at the layout's
+    /// `base + stride * i`, resolved now when `i` is the same for every
+    /// grid thread and otherwise read as a grid value of the item's
+    /// thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a place's family is not in the layout, if a fixed
+    /// address falls outside `memory_words`, or if the body has more
+    /// than 65536 distinct grid values.
+    fn compile_body(
+        body: &Body,
+        table: &[Value],
+        layout: &Layout,
+        memory_words: usize,
+    ) -> ThreadCode {
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut index: HashMap<Slot, u16> = HashMap::new();
+        let mut slot = |slots: &mut Vec<Slot>, s: Slot| -> u16 {
+            *index.entry(s).or_insert_with(|| {
+                slots.push(s);
+                u16::try_from(slots.len() - 1).expect("at most 65536 grid values per body")
+            })
+        };
+        let addrs: Vec<Addr> = body
+            .places()
+            .iter()
+            .map(|pl| {
+                let (base, stride) = layout.family(&pl.family);
+                let word = match pl.index.map(|v| (v, v.as_constant())) {
+                    None => base,
+                    Some((_, Some(c))) => base + stride * c as u64,
+                    Some((v, None)) => {
+                        let s = Slot::new(v, stride as i64, base as i64);
+                        return Addr::Value(slot(&mut slots, s));
+                    }
+                };
+                assert!(
+                    (word as usize) < memory_words,
+                    "location {} at address {word} outside memory ({memory_words} words)",
+                    pl.fixed_name()
+                );
+                Addr::Word(word)
+            })
+            .collect();
+        let addr_slots = slots.len();
+        let scratch: HashMap<usize, Operand> = body
+            .scratch_values()
+            .iter()
+            .map(|&(at, v)| (at, Operand::Value(slot(&mut slots, Slot::new(v, 1, 0)))))
+            .collect();
+        let mut code = ThreadCode::compile(&body.thread, &addrs, &scratch, None, false);
+        code.slots = slots;
+        code.addr_slots = addr_slots;
+        code.columns = body.columns();
+        code.table = table.to_vec();
+        code
+    }
+
+    /// Where grid thread `(block, thread)` with table row `row` reads
+    /// its grid values.
+    fn pos(&self, block: usize, thread: usize, row: usize) -> GridPos {
+        GridPos { block: block as i64, thread: thread as i64, row: row * self.columns }
     }
 
     /// Compile an expression operand, pooling it unless it is a bare
@@ -244,10 +408,13 @@ impl ThreadCode {
             }
             Expr::Bin(..) => {}
         }
-        let start = self.pool.len() as u32;
+        let start = self.pool.len();
         let depth = self.push_postfix(e);
         self.max_depth = self.max_depth.max(depth);
-        Operand::Pooled { start, end: self.pool.len() as u32 }
+        Operand::Pooled {
+            start: u32::try_from(start).expect("expression pool fits u32 offsets"),
+            len: u16::try_from(self.pool.len() - start).expect("expression has < 65536 nodes"),
+        }
     }
 
     /// Append `e` to the pool in postfix order; returns the stack depth
@@ -272,11 +439,58 @@ impl ThreadCode {
     }
 }
 
-/// A [`Program`] lowered onto the simulator grid.
+/// Where a grid lowering places each location family: `{family}{i}` at
+/// word `base + stride * i`, and a bare `family` at `base`.
+#[derive(Debug, Clone, Default)]
+pub struct Layout {
+    families: BTreeMap<String, (u64, u64)>,
+}
+
+impl Layout {
+    /// An empty layout.
+    pub fn new() -> Layout {
+        Layout::default()
+    }
+
+    /// Place `{family}{i}` at word `base + stride * i`.
+    pub fn array(mut self, family: &str, base: u64, stride: u64) -> Layout {
+        self.families.insert(family.to_string(), (base, stride));
+        self
+    }
+
+    /// Place the bare location `name` at word `addr`.
+    pub fn word(self, name: &str, addr: u64) -> Layout {
+        self.array(name, addr, 0)
+    }
+
+    /// `(base, stride)` of `family`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout does not place `family`.
+    fn family(&self, family: &str) -> (u64, u64) {
+        *self.families.get(family).unwrap_or_else(|| panic!("layout places no `{family}`"))
+    }
+
+    /// The word address of `place`, whose index must not vary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout does not place the family, or the index
+    /// varies per grid thread.
+    pub fn addr(&self, place: &Place) -> u64 {
+        let (base, stride) = self.family(&place.family);
+        let index = place.index.map_or(Some(0), GridValue::as_constant);
+        let index = index.unwrap_or_else(|| panic!("`{}` varies per grid thread", place.family));
+        base + stride * index as u64
+    }
+}
+
+/// A [`Program`] or [`Grid`] lowered onto the simulator grid.
 ///
-/// Implements [`Kernel`]; thread `block * threads_per_block + thread`
-/// of the grid runs the [`ThreadCode`] of the program thread the
-/// lowering placed there, interpreted by [`ProgramItem`].
+/// Implements [`Kernel`]; grid thread `block * threads_per_block +
+/// thread` runs one compiled body with its grid values applied,
+/// interpreted by [`ProgramItem`].
 #[derive(Debug, Clone)]
 pub struct ProgramKernel {
     name: String,
@@ -286,8 +500,10 @@ pub struct ProgramKernel {
     scratch_words: usize,
     /// Sparse non-zero initial memory (address, value).
     init: Vec<(u64, u64)>,
-    /// Block-major: `cells[block * tpb + thread]`.
-    cells: Vec<Arc<ThreadCode>>,
+    /// One compiled body per distinct thread shape.
+    bodies: Vec<Arc<ThreadCode>>,
+    /// Block-major: `(body, table row)` of each grid thread.
+    cells: Vec<(u32, u32)>,
 }
 
 impl ProgramKernel {
@@ -319,13 +535,13 @@ impl ProgramKernel {
         let scratch_words = litmus_scratch_words(p)?;
         let one_block = scratch_words.is_some()
             || p.threads().iter().any(|t| t.instrs.contains(&Instr::Barrier));
-        let addrs: Vec<u64> = (0..p.num_locs() as u64).collect();
+        let addrs: Vec<Addr> = (0..p.num_locs() as u64).map(Addr::Word).collect();
         let mut next = p.num_locs() as u64;
-        let mut cells = Vec::with_capacity(p.threads().len());
+        let mut bodies = Vec::with_capacity(p.threads().len());
         for t in p.threads() {
-            let code = ThreadCode::compile(t, &addrs, Some(next), true);
+            let code = ThreadCode::compile(t, &addrs, &HashMap::new(), Some(next), true);
             next += code.reg_count as u64;
-            cells.push(Arc::new(code));
+            bodies.push(Arc::new(code));
         }
         let init = (0..p.num_locs() as u32)
             .map(Loc)
@@ -341,112 +557,92 @@ impl ProgramKernel {
             memory_words: (next as usize).max(1),
             scratch_words: scratch_words.unwrap_or(0),
             init,
-            cells,
+            cells: (0..bodies.len() as u32).map(|b| (b, 0)).collect(),
+            bodies,
         })
     }
 
-    /// Lower `p` in the workload shape: program thread `i` becomes grid
-    /// thread `(i / tpb, i % tpb)`, locations are placed by `addr_of`
-    /// (e.g. padded to cache lines), there are no observation dumps,
-    /// and each RMW's `use_result` comes from register liveness.
+    /// Lower `g` in the workload shape: each of its bodies compiled
+    /// once, grid thread `gid` at `(gid / tpb, gid % tpb)` running its
+    /// body with its own grid values, locations placed by `layout`
+    /// (e.g. padded to cache lines), no observation dumps, and each
+    /// RMW's `use_result` from register liveness. A program without
+    /// grid values lowers through [`Grid::from_program`].
     ///
     /// # Panics
     ///
-    /// Panics if the thread count is not `blocks * tpb` for some
-    /// `blocks`, or if a location's address falls outside
-    /// `memory_words`.
+    /// Panics if the grid is empty, if a location's family is not in
+    /// `layout`, or if a location's address — for any grid thread —
+    /// falls outside `memory_words`.
     pub fn grid(
-        p: &Program,
-        tpb: usize,
+        g: &Grid,
+        layout: &Layout,
         memory_words: usize,
         scratch_words: usize,
-        addr_of: impl Fn(&str) -> u64,
     ) -> ProgramKernel {
-        let layout: Vec<usize> = (0..p.threads().len()).collect();
-        ProgramKernel::grid_with_layout(p, &layout, tpb, memory_words, scratch_words, addr_of)
-    }
-
-    /// Like [`ProgramKernel::grid`], but with an explicit replication
-    /// layout: grid thread `i` runs program thread `layout[i]`. Grids
-    /// that stamp out hundreds of identical bodies (every flags worker,
-    /// every seqlock reader) build the program with one thread per
-    /// *distinct* body and replicate it here, so the unrolled
-    /// instruction stream is compiled exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layout` is empty or not a multiple of `tpb`, if an
-    /// entry indexes past the program's threads, or if a location's
-    /// address falls outside `memory_words`.
-    pub fn grid_with_layout(
-        p: &Program,
-        layout: &[usize],
-        tpb: usize,
-        memory_words: usize,
-        scratch_words: usize,
-        addr_of: impl Fn(&str) -> u64,
-    ) -> ProgramKernel {
-        let n = layout.len();
-        assert!(n > 0, "cannot lower a program onto an empty grid");
-        assert!(tpb > 0 && n.is_multiple_of(tpb), "grid size {n} is not a multiple of tpb {tpb}");
-        let addrs: Vec<u64> = (0..p.num_locs() as u32)
-            .map(|l| {
-                let a = addr_of(p.loc_name(Loc(l)));
-                assert!(
-                    (a as usize) < memory_words,
-                    "location {} at address {a} outside memory ({memory_words} words)",
-                    p.loc_name(Loc(l))
-                );
-                a
+        assert!(!g.is_empty(), "cannot lower a program onto an empty grid");
+        let tpb = g.tpb();
+        assert!(
+            g.len().is_multiple_of(tpb),
+            "grid size {} is not a multiple of tpb {tpb}",
+            g.len()
+        );
+        let bodies: Vec<Arc<ThreadCode>> = (0..g.body_count())
+            .map(|b| {
+                Arc::new(ThreadCode::compile_body(g.body(b), g.table(b), layout, memory_words))
             })
             .collect();
-        // Share one compiled body between equal threads, even when the
-        // program itself repeats bodies.
-        let mut distinct: HashSet<Arc<ThreadCode>> = HashSet::new();
-        let codes: Vec<Arc<ThreadCode>> = p
-            .threads()
-            .iter()
-            .map(|t| {
-                let code = ThreadCode::compile(t, &addrs, None, false);
-                if let Some(c) = distinct.get(&code) {
-                    return Arc::clone(c);
+        let cells: Vec<(u32, u32)> = (0..g.len())
+            .map(|gid| {
+                let (b, row) = g.cell(gid);
+                let code = &bodies[b];
+                let at = code.pos(gid / tpb, gid % tpb, row);
+                for slot in &code.slots[..code.addr_slots] {
+                    let a = slot.eval(at, &code.table) as u64;
+                    assert!(
+                        (a as usize) < memory_words,
+                        "grid thread {gid}: address {a} outside memory ({memory_words} words)"
+                    );
                 }
-                let code = Arc::new(code);
-                distinct.insert(Arc::clone(&code));
-                code
+                (b as u32, row as u32)
             })
             .collect();
-        let cells = layout
+        let init = g
+            .init()
             .iter()
-            .map(|&i| {
-                assert!(i < codes.len(), "layout entry {i} has no program thread");
-                Arc::clone(&codes[i])
+            .filter(|&&(_, v)| v != 0)
+            .map(|(place, v)| {
+                let a = layout.addr(place);
+                assert!((a as usize) < memory_words, "initial value at {a} outside memory");
+                (a, *v as u64)
             })
-            .collect();
-        let init = (0..p.num_locs() as u32)
-            .map(Loc)
-            .filter(|&l| p.init_value(l) != 0)
-            .map(|l| (addrs[l.0 as usize], p.init_value(l) as u64))
             .collect();
         ProgramKernel {
-            name: p.name().to_string(),
-            blocks: n / tpb,
+            name: g.name().to_string(),
+            blocks: g.len() / tpb,
             threads_per_block: tpb,
             memory_words,
             scratch_words,
             init,
+            bodies,
             cells,
         }
     }
 
     /// Per-thread dense register-file sizes.
     pub fn reg_counts(&self) -> Vec<usize> {
-        self.cells.iter().map(|c| c.reg_count).collect()
+        self.cells.iter().map(|&(b, _)| self.bodies[b as usize].reg_count).collect()
     }
 
     /// Per-thread observation-window bases (litmus mode only).
     pub fn obs_bases(&self) -> Vec<usize> {
-        self.cells.iter().filter_map(|c| c.obs_base.map(|b| b as usize)).collect()
+        let bases = self.cells.iter().map(|&(b, _)| self.bodies[b as usize].obs_base);
+        bases.flatten().map(|b| b as usize).collect()
+    }
+
+    /// Distinct compiled bodies the grid threads share.
+    pub fn body_count(&self) -> usize {
+        self.bodies.len()
     }
 
     /// Total memory words.
@@ -489,11 +685,13 @@ impl Kernel for ProgramKernel {
     }
 
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        Box::new(ProgramItem::new(Arc::clone(&self.cells[block * self.threads_per_block + thread])))
+        let (b, row) = self.cells[block * self.threads_per_block + thread];
+        let code = Arc::clone(&self.bodies[b as usize]);
+        Box::new(ProgramItem::new(code, block, thread, row as usize))
     }
 }
 
-/// A work item running one compiled program thread.
+/// A work item running one compiled body.
 ///
 /// Local micro-ops (register assignments, conditional jumps) run
 /// inline; memory, scratch, think and barrier micro-ops are yielded as
@@ -502,7 +700,11 @@ impl Kernel for ProgramKernel {
 /// loads, scratch loads and result-consuming RMWs.
 pub struct ProgramItem {
     code: Arc<ThreadCode>,
-    /// Dense register file; never-written registers read as 0.
+    /// The grid thread whose values the body reads.
+    at: GridPos,
+    /// Dense register file, grown to the highest register written so
+    /// far: a register past its end — never written — reads as 0, and a
+    /// run allocates only for the registers its path writes.
     regs: Vec<i64>,
     /// Evaluation stack for pooled expressions.
     stack: Vec<i64>,
@@ -514,25 +716,49 @@ pub struct ProgramItem {
 }
 
 impl ProgramItem {
-    /// A fresh item at the top of `code`.
-    fn new(code: Arc<ThreadCode>) -> ProgramItem {
-        let regs = vec![0; code.reg_count];
+    /// A fresh item at the top of `code`, running as grid thread
+    /// `(block, thread)` with table row `row`.
+    fn new(code: Arc<ThreadCode>, block: usize, thread: usize, row: usize) -> ProgramItem {
+        let at = code.pos(block, thread, row);
+        let regs = Vec::with_capacity(code.reg_count.min(INITIAL_REGS));
         let stack = Vec::with_capacity(code.max_depth);
-        ProgramItem { code, regs, stack, pc: 0, pending: None, dumped: 0 }
+        ProgramItem { code, at, regs, stack, pc: 0, pending: None, dumped: 0 }
     }
 }
 
-/// Evaluate `o` against `regs`, using `stack` for pooled expressions.
-fn eval(o: Operand, regs: &[i64], pool: &[Node], stack: &mut Vec<i64>) -> i64 {
+/// Register-file capacity a work item starts with.
+const INITIAL_REGS: usize = 64;
+
+/// Register `r`: 0 until written.
+#[inline]
+fn reg(regs: &[i64], r: u16) -> i64 {
+    regs.get(r as usize).copied().unwrap_or(0)
+}
+
+/// Write register `r`, growing the file to reach it.
+#[inline]
+fn set_reg(regs: &mut Vec<i64>, r: u16, v: i64) {
+    let r = r as usize;
+    if r >= regs.len() {
+        regs.resize(r + 1, 0);
+    }
+    regs[r] = v;
+}
+
+/// Evaluate `o` against `regs` and grid thread `at`'s values, using
+/// `stack` for pooled expressions.
+fn eval(o: Operand, regs: &[i64], code: &ThreadCode, at: GridPos, stack: &mut Vec<i64>) -> i64 {
     match o {
-        Operand::Reg(r) => regs[r as usize],
+        Operand::Reg(r) => reg(regs, r),
         Operand::Imm(v) => i64::from(v),
-        Operand::Pooled { start, end } => {
+        Operand::Value(k) => code.slots[k as usize].eval(at, &code.table),
+        Operand::Pooled { start, len } => {
             stack.clear();
-            for &node in &pool[start as usize..end as usize] {
+            let start = start as usize;
+            for &node in &code.pool[start..start + len as usize] {
                 let v = match node {
                     Node::Const(c) => c,
-                    Node::Reg(r) => regs[r as usize],
+                    Node::Reg(r) => reg(regs, r),
                     Node::Bin(op) => {
                         let b = stack.pop().expect("postfix operand");
                         let a = stack.pop().expect("postfix operand");
@@ -546,21 +772,29 @@ fn eval(o: Operand, regs: &[i64], pool: &[Node], stack: &mut Vec<i64>) -> i64 {
     }
 }
 
+/// The word address `a` names for grid thread `at`.
+fn word(a: Addr, code: &ThreadCode, at: GridPos) -> u64 {
+    match a {
+        Addr::Word(w) => w,
+        Addr::Value(k) => code.slots[k as usize].eval(at, &code.table) as u64,
+    }
+}
+
 impl WorkItem for ProgramItem {
     fn next(&mut self, last: Option<u64>) -> Op {
-        let ProgramItem { code, regs, stack, pc, pending, dumped } = self;
+        let ProgramItem { code, at, regs, stack, pc, pending, dumped } = self;
+        let (code, at) = (&**code, *at);
         if let Some(dst) = pending.take() {
             let v = last.expect("memory op with a destination returns a value");
-            regs[dst as usize] = v as i64;
+            set_reg(regs, dst, v as i64);
         }
-        let pool = &code.pool;
         while let Some(&op) = code.ops.get(*pc) {
             *pc += 1;
-            let mut value = |o| eval(o, regs, pool, stack);
+            let mut value = |o| eval(o, regs, code, at, stack);
             match op {
                 MicroOp::Set { dst, val } => {
                     let v = value(val);
-                    regs[dst as usize] = v;
+                    set_reg(regs, dst, v);
                 }
                 MicroOp::JumpIfZero { cond, target } => {
                     if value(cond) == 0 {
@@ -571,16 +805,17 @@ impl WorkItem for ProgramItem {
                 MicroOp::Barrier => return Op::Barrier,
                 MicroOp::Load { addr, class, dst } => {
                     *pending = Some(dst);
-                    return Op::Load { addr, class };
+                    return Op::Load { addr: word(addr, code, at), class };
                 }
                 MicroOp::Store { addr, class, val } => {
-                    return Op::Store { addr, value: value(val) as u64, class };
+                    let value = value(val) as u64;
+                    return Op::Store { addr: word(addr, code, at), value, class };
                 }
                 MicroOp::Rmw { addr, class, op, operand, expected, dst } => {
                     let (k, k2) = (value(operand), value(expected));
                     *pending = dst;
                     return Op::Rmw {
-                        addr,
+                        addr: word(addr, code, at),
                         rmw: lower_rmw(op, k2),
                         operand: k as u64,
                         class,
@@ -602,10 +837,11 @@ impl WorkItem for ProgramItem {
         // thread-private words — racing with nothing, invisible to
         // other threads.
         if let Some(base) = code.obs_base {
-            if let Some(&v) = regs.get(*dumped) {
+            if *dumped < code.reg_count {
                 let r = *dumped;
                 *dumped += 1;
-                return Op::Store { addr: base + r as u64, value: v as u64, class: OpClass::Data };
+                let value = reg(regs, r as u16) as u64;
+                return Op::Store { addr: base + r as u64, value, class: OpClass::Data };
             }
         }
         Op::Done
@@ -773,19 +1009,63 @@ mod tests {
             t.store(OpClass::Data, "out", old);
         }
         let p = p.build();
-        let k = ProgramKernel::grid(&p, 2, 32, 0, |n| match n {
-            "ctr" => 16,
-            "out" => 17,
-            _ => unreachable!(),
-        });
+        let layout = Layout::new().word("ctr", 16).word("out", 17);
+        let k = ProgramKernel::grid(&Grid::from_program(&p, 2), &layout, 32, 0);
         assert_eq!(k.blocks(), 1);
         assert_eq!(k.threads_per_block(), 2);
         // Thread 0's RMW result is dead, thread 1's is live.
-        assert!(matches!(k.cells[0].ops[0], MicroOp::Rmw { dst: None, .. }));
-        assert!(matches!(k.cells[1].ops[0], MicroOp::Rmw { dst: Some(0), .. }));
+        assert!(matches!(k.bodies[0].ops[0], MicroOp::Rmw { dst: None, .. }));
+        assert!(matches!(k.bodies[1].ops[0], MicroOp::Rmw { dst: Some(0), .. }));
         let r = run_kernel(&k, &EngineParams::default(), &mut Instant);
         assert_eq!(r.memory[16], 2, "both increments landed at the padded address");
         assert!(r.memory[17] == 0 || r.memory[17] == 1, "old value stored");
+    }
+
+    #[test]
+    fn one_body_serves_every_grid_thread_with_its_own_values() {
+        // Thread (block, thread) loads `x{4 * block + thread}`, adds its
+        // table value, stores the sum to `y{row}` and to its scratch
+        // slot `thread`.
+        let mut body = Body::build(|t| {
+            let v = t.load(OpClass::Data, Place::at("x", GridValue::affine(0, 4, 1)));
+            let sum = Expr::bin(BinOp::Add, v.into(), 100.into());
+            t.store(OpClass::Data, Place::at("y", GridValue::Column(0)), sum.clone());
+            t.scratch_store(0, sum);
+        });
+        body.vary_scratch(2, GridValue::affine(0, 0, 1));
+        let mut g = Grid::new("g", 2);
+        let id = g.add_body(body);
+        for row in [3, 2, 1, 0] {
+            g.push(id, &[row]);
+        }
+        let layout = Layout::new().array("x", 0, 1).array("y", 8, 2);
+        let k = ProgramKernel::grid(&g, &layout, 16, 2);
+        assert_eq!(k.body_count(), 1);
+        let run = |block, thread, loaded: u64| {
+            let mut item = k.item(block, thread);
+            let load = item.next(None);
+            (load, item.next(Some(loaded)), item.next(None), item.next(None))
+        };
+        let (load, store, sstore, done) = run(1, 0, 5);
+        assert_eq!(load, Op::Load { addr: 4, class: OpClass::Data });
+        assert_eq!(store, Op::Store { addr: 8 + 2, value: 105, class: OpClass::Data });
+        assert_eq!(sstore, Op::ScratchStore { addr: 0, value: 105 });
+        assert_eq!(done, Op::Done);
+        let (load, store, sstore, _) = run(0, 1, 7);
+        assert_eq!(load, Op::Load { addr: 1, class: OpClass::Data });
+        assert_eq!(store, Op::Store { addr: 8 + 2 * 2, value: 107, class: OpClass::Data });
+        assert_eq!(sstore, Op::ScratchStore { addr: 1, value: 107 });
+        // Instantiation names the same locations the item addresses.
+        let p = g.program();
+        let names: Vec<&str> = (0..p.num_locs() as u32).map(|l| p.loc_name(Loc(l))).collect();
+        assert_eq!(names, ["x0", "y3", "x1", "y2", "x4", "y1", "x5", "y0"]);
+        assert_eq!(
+            p.threads()[3].instrs[2],
+            Instr::ScratchStore {
+                addr: Expr::Const(1),
+                val: Expr::bin(BinOp::Add, Expr::Reg(Reg(0)), Expr::Const(100)),
+            }
+        );
     }
 
     #[test]
@@ -816,10 +1096,8 @@ mod tests {
             t.barrier();
         }
         let p = p.build();
-        let k = ProgramKernel::grid(&p, 2, 4, 2, |n| match n {
-            "sum" => 0,
-            _ => unreachable!(),
-        });
+        let k =
+            ProgramKernel::grid(&Grid::from_program(&p, 2), &Layout::new().word("sum", 0), 4, 2);
         let r = run_kernel(&k, &EngineParams::default(), &mut Instant);
         assert_eq!(r.memory[0], 12, "barrier ordered the scratch publication");
         assert_eq!(r.scratch_accesses, 4);
@@ -908,7 +1186,7 @@ mod tests {
         }
         let p = p.build();
         let k = ProgramKernel::litmus(&p).unwrap();
-        let code = &k.cells[0];
+        let code = &k.bodies[0];
         let vals: Vec<Operand> = code
             .ops
             .iter()
@@ -919,8 +1197,8 @@ mod tests {
             .collect();
         assert_eq!(vals[0], Operand::Reg(0));
         assert_eq!(vals[1], Operand::Imm(7));
-        assert_eq!(vals[2], Operand::Pooled { start: 0, end: 1 }, "wide constants are pooled");
-        assert_eq!(vals[3], Operand::Pooled { start: 1, end: 6 });
+        assert_eq!(vals[2], Operand::Pooled { start: 0, len: 1 }, "wide constants are pooled");
+        assert_eq!(vals[3], Operand::Pooled { start: 1, len: 5 });
         assert_eq!(code.max_depth, 3, "r, then 3 and r of the nested subtraction");
         let r = run_kernel(&k, &EngineParams::default(), &mut Instant);
         assert_eq!(r.memory[1], 3, "x = 0: 0 + (3 - 0)");

@@ -1,8 +1,8 @@
 //! Shared program-shape templates: the single source for litmus use-cases
 //! and micro workloads.
 //!
-//! Each family in this module emits [`Program`] threads from a small set of
-//! knobs. The *litmus* instantiations (`crates/litmus/usecases.rs` and
+//! Each family in this module emits threads from a small set of knobs.
+//! The *litmus* instantiations (`crates/litmus/usecases.rs` and
 //! `mislabeled.rs`) use tiny parameters (one poll, one visit, one section)
 //! and `observe` tails so the axiomatic checkers can enumerate them; the
 //! *grid* instantiations (`crates/workloads/micro/*`) use full-scale
@@ -10,6 +10,14 @@
 //! validate them. Both are lowered through
 //! [`ProgramKernel`](crate::ProgramKernel), so an instruction-semantics bug
 //! can only live in one place.
+//!
+//! Every emitter writes through a [`ThreadBuilder`] or a [`Locations`]
+//! target, so the same code writes a litmus thread into a
+//! [`Program`](drfrlx_core::program::Program) (fixed names) or a grid
+//! [`Body`] once for all the grid threads that share it, with location
+//! indices ([`Place`]) that vary per thread. Instantiating a body for one
+//! grid thread yields the flat thread that grid thread runs, with the
+//! same names, location order and registers as writing it directly.
 //!
 //! Two emission styles coexist:
 //!
@@ -24,8 +32,12 @@
 //!   memory operations — matching the hand-coded state machines these
 //!   templates replaced, call for call.
 
-use drfrlx_core::program::{BinOp, Expr, Instr, Program, Reg, RmwOp, Thread, ThreadBuilder, Value};
+use drfrlx_core::program::{
+    BinOp, Body, Expr, Grid, GridValue, Instr, Locations, Place, Reg, RmwOp, Thread, ThreadBuilder,
+    Value,
+};
 use drfrlx_core::OpClass;
+use std::collections::BTreeMap;
 
 /// Left-fold a non-empty register list with `op`. A single register folds
 /// to a bare `Expr::Reg`, matching what the hand-written litmus tests
@@ -42,8 +54,8 @@ pub mod split_counter {
 
     /// Shape knobs shared by the litmus use-case and the `SC` micro.
     pub struct Shape {
-        /// Sub-counter location names, in reader sweep order.
-        pub counters: Vec<String>,
+        /// Sub-counter locations, in reader sweep order.
+        pub counters: Vec<Place>,
         /// Increments each updater performs on its own sub-counter.
         pub increments: usize,
         /// Full read sweeps the reader performs (micro: 2; litmus: 1).
@@ -58,15 +70,16 @@ pub mod split_counter {
     }
 
     /// Updater thread: `increments` fetch-adds on one sub-counter.
-    pub fn updater(t: &mut ThreadBuilder<'_>, shape: &Shape, counter: &str) {
+    pub fn updater(t: &mut ThreadBuilder<'_>, shape: &Shape, counter: impl Into<Place>) {
+        let counter = counter.into();
         for _ in 0..shape.increments {
-            t.rmw(shape.update_class, counter, RmwOp::FetchAdd, 1);
+            t.rmw(shape.update_class, &counter, RmwOp::FetchAdd, 1);
         }
     }
 
     /// Reader thread: `sweeps` sweeps over every sub-counter; the final
     /// sweep's sum is observed (litmus) or stored to `publish` (grid).
-    pub fn reader(t: &mut ThreadBuilder<'_>, shape: &Shape, publish: Option<&str>) {
+    pub fn reader(t: &mut ThreadBuilder<'_>, shape: &Shape, publish: Option<Place>) {
         let mut last_sweep: Vec<Reg> = Vec::new();
         for s in 0..shape.sweeps {
             if s > 0 && shape.think_between_sweeps > 0 {
@@ -93,9 +106,9 @@ pub mod ref_counter {
     /// One object a visit touches: `(count_loc, mark_loc, mark_value)`.
     pub struct Obj {
         /// Reference-count location.
-        pub count: String,
+        pub count: Place,
         /// Mark location stored to when the count drops to zero.
-        pub mark: String,
+        pub mark: Place,
         /// Value written to the mark location.
         pub mark_value: Value,
     }
@@ -172,10 +185,10 @@ pub mod flags {
     /// Emit a worker thread. Poll iterations are unrolled forward; every
     /// iteration's `stop != 0` test jumps straight to the exit
     /// announcement, so a stopped worker issues no further memory ops.
-    pub fn worker(p: &mut Program, w: &Worker) -> Thread {
-        let stop = p.intern("stop");
-        let dirty = p.intern("dirty");
-        let exited = p.intern("exited");
+    pub fn worker(p: &mut impl Locations, w: &Worker) -> Thread {
+        let stop = p.place("stop".into());
+        let dirty = p.place("dirty".into());
+        let exited = p.place("exited".into());
         let mut ins: Vec<Instr> = Vec::new();
         let mut exits: Vec<usize> = Vec::new();
         // Each polled value dies at its own guard, so every iteration
@@ -268,10 +281,10 @@ pub mod flags {
     /// Emit the main thread: optional delay, stop store, join loop
     /// (unrolled forward, early-exit jumps patched to the join's end),
     /// then the tail.
-    pub fn main(p: &mut Program, m: &Main) -> Thread {
-        let stop = p.intern("stop");
-        let dirty = p.intern("dirty");
-        let exited = p.intern("exited");
+    pub fn main(p: &mut impl Locations, m: &Main) -> Thread {
+        let stop = p.place("stop".into());
+        let dirty = p.place("dirty".into());
+        let exited = p.place("exited".into());
         let mut ins: Vec<Instr> = Vec::new();
         let mut reg = 0u16;
         if let Some(d) = m.delay {
@@ -330,8 +343,8 @@ pub mod flags {
 
     /// A bare `store(class, "dirty", value)` thread — the
     /// `flags_conflicting_dirty` mislabeling's whole worker.
-    pub fn dirty_only(p: &mut Program, class: OpClass, value: Value) -> Thread {
-        let dirty = p.intern("dirty");
+    pub fn dirty_only(p: &mut impl Locations, class: OpClass, value: Value) -> Thread {
+        let dirty = p.place("dirty".into());
         Thread { instrs: vec![Instr::Store { class, loc: dirty, val: Expr::Const(value) }] }
     }
 }
@@ -351,8 +364,8 @@ pub mod seqlock {
         pub unlock_class: OpClass,
         /// Class of the payload stores.
         pub payload_class: OpClass,
-        /// Payload location names.
-        pub payloads: Vec<String>,
+        /// Payload locations.
+        pub payloads: Vec<Place>,
         /// Number of writer sections.
         pub writes: usize,
     }
@@ -409,8 +422,8 @@ pub mod seqlock {
         pub seq1_class: OpClass,
         /// Class of the payload loads.
         pub payload_class: OpClass,
-        /// Payload location names.
-        pub payloads: Vec<String>,
+        /// Payload locations.
+        pub payloads: Vec<Place>,
         /// Snapshot sections to complete.
         pub reads: usize,
         /// Attempts per section before giving it up.
@@ -430,9 +443,9 @@ pub mod seqlock {
     /// `retr` counts retries within the current section (a section
     /// force-completes at `max_retries` attempts), and every attempt
     /// after the first is guarded by `done < reads` jumping to the end.
-    pub fn reader(p: &mut Program, r: &Reader) -> Thread {
-        let seq = p.intern("seq");
-        let pls: Vec<_> = r.payloads.iter().map(|l| p.intern(l)).collect();
+    pub fn reader(p: &mut impl Locations, r: &Reader) -> Thread {
+        let seq = p.place("seq".into());
+        let pls: Vec<_> = r.payloads.iter().map(|l| p.place(l.clone())).collect();
         let attempts = r.reads * r.max_retries;
         assert!(attempts > 0, "seqlock reader needs at least one attempt");
         let mut ins: Vec<Instr> = Vec::new();
@@ -553,6 +566,11 @@ pub mod seqlock {
 }
 
 /// Histogram (paper §5: scratchpad-privatised vs global-atomic binning).
+///
+/// Each family is a [`Grid`] with one body per thread shape: grid thread
+/// `gid` reads inputs `i{gid * per_thread + i}` (affine in the ids) and
+/// bins value `i` into the bin `bin_of(block, thread, i)` chose for it
+/// (a table column, since the choice is data).
 pub mod hist {
     use super::*;
 
@@ -572,47 +590,70 @@ pub mod hist {
         pub merge_class: OpClass,
     }
 
-    /// Scratchpad-privatised thread: count into a private scratch row,
-    /// barrier, then merge owned bins (one commutative RMW per non-empty
-    /// bin) into global memory.
-    pub fn local_thread(
-        p: &mut Program,
-        s: &Shape,
-        block: usize,
-        thread: usize,
-        bin_of: &BinOf,
-    ) -> Thread {
+    impl Shape {
+        /// Input `i` of the grid thread: `i{gid * per_thread + i}`.
+        fn input(&self, i: usize) -> Place {
+            let pt = self.per_thread as Value;
+            Place::at("i", GridValue::affine(i as Value, self.tpb as Value * pt, pt))
+        }
+    }
+
+    /// Scratchpad-privatised grid: each thread counts into a private
+    /// scratch row, meets its block at the barrier, then merges its owned
+    /// bins `thread, thread + tpb, ...` (one RMW per non-empty bin) into
+    /// global memory. Threads owning equally many bins share one body.
+    pub fn local_grid(name: &str, s: &Shape, blocks: usize, bin_of: &BinOf) -> Grid {
+        let mut g = Grid::new(name, s.tpb);
+        let mut bodies: BTreeMap<usize, usize> = BTreeMap::new();
+        for block in 0..blocks {
+            for thread in 0..s.tpb {
+                let merges = s.bins.saturating_sub(thread).div_ceil(s.tpb);
+                let id = *bodies.entry(merges).or_insert_with(|| g.add_body(local_body(s, merges)));
+                let row: Vec<Value> = (0..s.per_thread)
+                    .map(|i| (thread * s.bins + bin_of(block, thread, i)) as Value)
+                    .collect();
+                g.push(id, &row);
+            }
+        }
+        g
+    }
+
+    /// The [`local_grid`] body of a thread merging `merges` bins. Table
+    /// column `i` is value `i`'s scratch slot `thread * bins + bin`.
+    fn local_body(s: &Shape, merges: usize) -> Body {
+        let mut body = Body::default();
         let mut ins: Vec<Instr> = Vec::new();
+        let mut scratch: Vec<(usize, GridValue)> = Vec::new();
         let mut reg = 0u16;
-        let gid = |b: usize, t: usize| b * s.tpb + t;
         for i in 0..s.per_thread {
-            let input = p.intern(&format!("i{}", gid(block, thread) * s.per_thread + i));
+            let input = body.place(s.input(i));
             let v = Reg(reg);
             reg += 1;
             ins.push(Instr::Load { class: OpClass::Data, loc: input, dst: v });
-            let bin = bin_of(block, thread, i);
-            let slot = (thread * s.bins + bin) as Value;
             let c = Reg(reg);
             reg += 1;
-            ins.push(Instr::ScratchLoad { addr: Expr::Const(slot), dst: c });
+            scratch.push((ins.len(), GridValue::Column(i)));
+            ins.push(Instr::ScratchLoad { addr: Expr::Const(0), dst: c });
+            scratch.push((ins.len(), GridValue::Column(i)));
             ins.push(Instr::ScratchStore {
-                addr: Expr::Const(slot),
+                addr: Expr::Const(0),
                 val: Expr::bin(BinOp::Add, Expr::Reg(c), Expr::Const(1)),
             });
         }
         ins.push(Instr::Barrier);
-        let mut b = thread;
-        while b < s.bins {
+        for k in 0..merges {
+            // Bin `b = thread + k * tpb`, summed over every thread's row.
+            let b = (k * s.tpb) as Value;
             let mut parts: Vec<Reg> = Vec::new();
             for t in 0..s.tpb {
-                let slot = (t * s.bins + b) as Value;
                 let r = Reg(reg);
                 reg += 1;
-                ins.push(Instr::ScratchLoad { addr: Expr::Const(slot), dst: r });
+                scratch.push((ins.len(), GridValue::affine((t * s.bins) as Value + b, 0, 1)));
+                ins.push(Instr::ScratchLoad { addr: Expr::Const(0), dst: r });
                 parts.push(r);
             }
             let acc = fold_regs(BinOp::Add, &parts);
-            let global = p.intern(&format!("b{b}"));
+            let global = body.place(Place::at("b", GridValue::affine(b, 0, 1)));
             ins.push(Instr::JumpIfZero { cond: acc.clone(), skip: 1 });
             ins.push(Instr::Rmw {
                 class: s.merge_class,
@@ -623,30 +664,33 @@ pub mod hist {
                 dst: Reg(reg),
             });
             reg += 1;
-            b += s.tpb;
         }
-        Thread { instrs: ins }
+        body.thread = Thread { instrs: ins };
+        for (at, addr) in scratch {
+            body.vary_scratch(at, addr);
+        }
+        body
     }
 
-    /// Global-atomic thread: one RMW straight to the global bin per
-    /// value (the `HG` family; `update_class` is its only knob).
-    pub fn global_thread(
-        p: &mut Program,
+    /// Global-atomic grid: one RMW straight to the global bin per value
+    /// (the `HG` family; `update_class` is its only knob). One body;
+    /// table column `i` is value `i`'s bin.
+    pub fn global_grid(
+        name: &str,
         s: &Shape,
-        block: usize,
-        thread: usize,
+        blocks: usize,
         update_class: OpClass,
         bin_of: &BinOf,
-    ) -> Thread {
+    ) -> Grid {
+        let mut body = Body::default();
         let mut ins: Vec<Instr> = Vec::new();
         let mut reg = 0u16;
-        let gid = block * s.tpb + thread;
         for i in 0..s.per_thread {
-            let input = p.intern(&format!("i{}", gid * s.per_thread + i));
+            let input = body.place(s.input(i));
             let v = Reg(reg);
             reg += 1;
             ins.push(Instr::Load { class: OpClass::Data, loc: input, dst: v });
-            let global = p.intern(&format!("b{}", bin_of(block, thread, i)));
+            let global = body.place(Place::at("b", GridValue::Column(i)));
             ins.push(Instr::Rmw {
                 class: update_class,
                 loc: global,
@@ -657,28 +701,52 @@ pub mod hist {
             });
             reg += 1;
         }
-        Thread { instrs: ins }
+        body.thread = Thread { instrs: ins };
+        let mut g = Grid::new(name, s.tpb);
+        let id = g.add_body(body);
+        for block in 0..blocks {
+            for thread in 0..s.tpb {
+                let row: Vec<Value> =
+                    (0..s.per_thread).map(|i| bin_of(block, thread, i) as Value).collect();
+                g.push(id, &row);
+            }
+        }
+        g
     }
 
-    /// Read-only non-ordering thread (the `HG-NO` family): a strided
-    /// pseudo-random walk of relaxed loads over the bin array.
-    pub fn nonorder_thread(
-        p: &mut Program,
+    /// Read-only non-ordering grid (the `HG-NO` family): each thread
+    /// walks the bin array with relaxed loads along a strided
+    /// pseudo-random sequence. One body; table column `i` is read `i`'s
+    /// bin.
+    pub fn nonorder_grid(
+        name: &str,
         bins: usize,
         per_thread: usize,
-        gid: usize,
-        threads: usize,
-    ) -> Thread {
+        blocks: usize,
+        tpb: usize,
+    ) -> Grid {
+        let mut body = Body::default();
         let mut ins: Vec<Instr> = Vec::new();
         for i in 0..per_thread {
-            // Odd multiplier ⇒ bijection on a power-of-two table:
-            // spreads logically-adjacent reads across lines and CUs.
-            let k = gid as u64 + i as u64 * threads as u64;
-            let bin = (k.wrapping_mul(0x9E37_79B1) % bins as u64) as usize;
-            let loc = p.intern(&format!("b{bin}"));
+            let loc = body.place(Place::at("b", GridValue::Column(i)));
             ins.push(Instr::Load { class: OpClass::NonOrdering, loc, dst: Reg(i as u16) });
         }
-        Thread { instrs: ins }
+        body.thread = Thread { instrs: ins };
+        let mut g = Grid::new(name, tpb);
+        let id = g.add_body(body);
+        let threads = blocks * tpb;
+        for gid in 0..threads {
+            let row: Vec<Value> = (0..per_thread)
+                .map(|i| {
+                    // Odd multiplier ⇒ bijection on a power-of-two table:
+                    // spreads logically-adjacent reads across lines and CUs.
+                    let k = gid as u64 + i as u64 * threads as u64;
+                    (k.wrapping_mul(0x9E37_79B1) % bins as u64) as Value
+                })
+                .collect();
+            g.push(id, &row);
+        }
+        g
     }
 }
 

@@ -24,7 +24,7 @@
 use drfrlx_bridge::templates::{
     event_counter, flags, hist, ref_counter, seqlock, split_counter, work_queue,
 };
-use drfrlx_core::program::Program;
+use drfrlx_core::program::{Place, Program};
 use drfrlx_core::OpClass;
 
 /// Work queue whose producer publishes by *bumping* the occupancy
@@ -140,7 +140,7 @@ pub fn split_counter_two_sweeps() -> Program {
     }
     {
         let mut t = p.thread();
-        split_counter::reader(&mut t, &shape, Some("sum"));
+        split_counter::reader(&mut t, &shape, Some("sum".into()));
     }
     p.build()
 }
@@ -169,7 +169,7 @@ pub fn ref_counter_think() -> Program {
 /// over two payload words, and the reader retries up to twice before
 /// giving up, observing only sequence-checked values.
 pub fn seqlock_retry_reader() -> Program {
-    let payloads: Vec<String> = vec!["d0".into(), "d1".into()];
+    let payloads: Vec<Place> = vec!["d0".into(), "d1".into()];
     let mut p = Program::new("tmpl_seqlock_retry");
     {
         let mut t = p.thread();
@@ -213,11 +213,7 @@ pub fn seqlock_retry_reader() -> Program {
 pub fn hist_scratch_barrier() -> Program {
     let shape = hist::Shape { bins: 2, per_thread: 2, tpb: 2, merge_class: OpClass::Commutative };
     let bin_of = |_b: usize, t: usize, i: usize| (t + i) % 2;
-    let mut p = Program::new("tmpl_hist_scratch");
-    for thread in 0..shape.tpb {
-        let t = hist::local_thread(&mut p, &shape, 0, thread, &bin_of);
-        p.push_thread(t);
-    }
+    let mut p = hist::local_grid("tmpl_hist_scratch", &shape, 1, &bin_of).program();
     // Every input counts: bin_of decides the bin, not the value.
     for i in 0..shape.tpb * shape.per_thread {
         p.set_init(&format!("i{i}"), 1 + i as i64);

@@ -11,12 +11,22 @@
 //! the same pseudo-random load, scratch-load and RMW results, both
 //! must yield identical simulator `Op` sequences for every thread of
 //! every corpus, under both the litmus and the grid lowering.
+//!
+//! The micro kernels compile each thread-parametric body once and
+//! apply a grid thread's values (affine ids, table rows) when its item
+//! is created. For every grid thread of all seven, that shared body
+//! must yield the same op stream as the flat thread
+//! `Grid::instantiate(gid)` compiled on its own, addressed by name.
 
-use drfrlx_bridge::ProgramKernel;
+use drfrlx_bridge::{Layout, ProgramKernel};
 use drfrlx_conform::{generate, table1_corpus, template_corpus};
-use drfrlx_core::program::{BinOp, Expr, Instr, Program, Reg, RmwOp, Thread};
+use drfrlx_core::program::{BinOp, Expr, Grid, Instr, Loc, Place, Program, Reg, RmwOp, Thread};
 use drfrlx_core::OpClass;
 use drfrlx_litmus::{all_tests, stress_tests};
+use drfrlx_workloads::micro::{
+    Flags, GridKernel, Hist, HistGlobal, HistGlobalNonOrder, HistParams, RefCounter, Seqlocks,
+    SplitCounter,
+};
 use hsim_gpu::{Kernel, Op, RmwKind, WorkItem};
 
 /// The source-level interpreter the compiled lowering replaced.
@@ -162,8 +172,10 @@ mod reference {
                 dumped: 0,
             }
         }
+    }
 
-        pub fn next(&mut self, last: Option<u64>) -> Op {
+    impl WorkItem for Item<'_> {
+        fn next(&mut self, last: Option<u64>) -> Op {
             if let Some(dst) = self.pending.take() {
                 self.regs[dst.0 as usize] =
                     Some(last.expect("a value for the pending load") as i64);
@@ -267,11 +279,11 @@ fn returns_value(op: &Op) -> bool {
 
 const MAX_STEPS: usize = 1 << 20;
 
-/// Run the compiled item and the reference side by side with the same
-/// delivered values; returns the common op stream.
+/// Run two items side by side with the same delivered values; returns
+/// the common op stream.
 fn lockstep(
     compiled: &mut dyn WorkItem,
-    reference: &mut reference::Item<'_>,
+    reference: &mut dyn WorkItem,
     seed: u64,
     what: &str,
 ) -> Vec<Op> {
@@ -310,9 +322,9 @@ fn check_program(p: &Program) {
     // Grid shape: one thread per block, locations spread out so every
     // address differs from the litmus identity map.
     let addr_of: Vec<u64> = (0..p.num_locs() as u64).map(|l| 3 * l + 1).collect();
-    let kernel = ProgramKernel::grid(p, 1, 3 * p.num_locs() + 2, 0, |n| {
-        addr_of[p.find_loc(n).unwrap().0 as usize]
-    });
+    let layout = (0..p.num_locs() as u32)
+        .fold(Layout::new(), |l, i| l.word(p.loc_name(Loc(i)), addr_of[i as usize]));
+    let kernel = ProgramKernel::grid(&Grid::from_program(p, 1), &layout, 3 * p.num_locs() + 2, 0);
     let layout = reference::grid_layout(p, addr_of.clone());
     compare_threads(p, &kernel, &layout, 1, &format!("{name} (grid)"));
 }
@@ -332,6 +344,79 @@ fn compare_threads(
             lockstep(compiled.as_mut(), &mut reference, seed, &format!("{what} thread {t}"));
         }
     }
+}
+
+/// `{family}{digits}` as a place, e.g. `b17` → `b` at 17, `stop` → `stop`.
+fn parse_place(name: &str) -> Place {
+    let split = name.find(|c: char| c.is_ascii_digit()).unwrap_or(name.len());
+    match name.split_at(split) {
+        (family, "") => Place::from(family),
+        (family, digits) => Place::at(family, digits.parse::<usize>().expect("a decimal index")),
+    }
+}
+
+/// Every grid thread of `g`: its item from the shared compiled body
+/// against the flat thread `instantiate(gid)`, compiled alone with each
+/// location placed by parsing its name, over `seeds` value streams.
+fn check_grid(what: &str, g: &GridKernel, seeds: u64) {
+    let kernel = &g.kernel;
+    let tpb = kernel.threads_per_block();
+    assert_eq!(g.grid.len(), kernel.blocks() * tpb, "{what}: grid size");
+    for gid in 0..g.grid.len() {
+        let mut p = Program::new(g.grid.name());
+        let t = g.grid.instantiate(gid, &mut p);
+        p.push_thread(t);
+        let layout = (0..p.num_locs() as u32).fold(Layout::new(), |l, i| {
+            let name = p.loc_name(Loc(i));
+            l.word(name, g.layout.addr(&parse_place(name)))
+        });
+        let flat = ProgramKernel::grid(
+            &Grid::from_program(&p, 1),
+            &layout,
+            kernel.memory_words(),
+            kernel.scratch_words(),
+        );
+        for seed in 0..seeds {
+            let mut shared = kernel.item(gid / tpb, gid % tpb);
+            let mut alone = flat.item(0, 0);
+            let seed = seed * 1000 + gid as u64;
+            let what = format!("{what} grid thread {gid}");
+            lockstep(shared.as_mut(), alone.as_mut(), seed, &what);
+        }
+    }
+}
+
+fn small_hist() -> HistParams {
+    HistParams { bins: 32, per_thread: 8, blocks: 4, tpb: 4, seed: 1 }
+}
+
+#[test]
+fn micro_kernels_lower_shared_bodies_like_their_flat_threads() {
+    let p = small_hist();
+    // 10 bins over 4 threads: two merge counts, so two H bodies.
+    let uneven = HistParams { bins: 10, per_thread: 3, blocks: 3, tpb: 4, seed: 5 };
+    check_grid("H", Hist::new(p.clone()).lowered(), 3);
+    check_grid("H uneven", Hist::new(uneven).lowered(), 3);
+    check_grid("HG", HistGlobal::new(p.clone(), OpClass::Commutative).lowered(), 3);
+    check_grid("HG-NO", HistGlobalNonOrder::new(p).lowered(), 3);
+    check_grid("Flags", Flags::new(4, 4, 8, 200).lowered(), 3);
+    check_grid("SC", SplitCounter::new(4, 4, 8, 2).lowered(), 3);
+    check_grid("RC", RefCounter::new(4, 4, 8, 6).lowered(), 3);
+    check_grid("SEQ", Seqlocks::new(false, 4, 4, 3, 4, 4, 64).lowered(), 3);
+    check_grid("SEQ acq/rel", Seqlocks::new(true, 4, 4, 3, 4, 4, 64).lowered(), 3);
+}
+
+#[test]
+fn micro_kernels_lower_shared_bodies_like_their_flat_threads_at_full_scale() {
+    // The registry's Table 3 instances.
+    let h = Hist::new(HistParams { per_thread: 256, ..HistParams::default() });
+    check_grid("H", h.lowered(), 1);
+    check_grid("HG", HistGlobal::default().lowered(), 1);
+    check_grid("HG-NO", HistGlobalNonOrder::default().lowered(), 1);
+    check_grid("Flags", Flags::default().lowered(), 1);
+    check_grid("SC", SplitCounter::default().lowered(), 1);
+    check_grid("RC", RefCounter::default().lowered(), 1);
+    check_grid("SEQ", Seqlocks::default().lowered(), 1);
 }
 
 #[test]

@@ -338,11 +338,51 @@ pub struct Thread {
 pub struct Program {
     name: String,
     threads: Vec<Thread>,
-    locs: Vec<String>,
-    /// Name → index of `locs`, so interning stays O(log n) even for
-    /// grid-scale programs with tens of thousands of locations.
-    loc_index: BTreeMap<String, u32>,
+    locs: Interner<String>,
     init: BTreeMap<Loc, Value>,
+}
+
+/// Keys numbered in first-intern order: a program's location names, or
+/// a body's places.
+#[derive(Debug, Clone)]
+struct Interner<K> {
+    keys: Vec<K>,
+    /// Key → number, so interning stays O(log n) even for grid-scale
+    /// programs with tens of thousands of locations.
+    index: BTreeMap<K, u32>,
+}
+
+impl<K> Default for Interner<K> {
+    fn default() -> Self {
+        Interner { keys: Vec::new(), index: BTreeMap::new() }
+    }
+}
+
+impl<K: Ord + Clone> Interner<K> {
+    fn intern<Q: Ord + ToOwned<Owned = K> + ?Sized>(&mut self, key: &Q) -> Loc
+    where
+        K: std::borrow::Borrow<Q>,
+    {
+        if let Some(&i) = self.index.get(key) {
+            return Loc(i);
+        }
+        let i = u32::try_from(self.keys.len()).expect("fewer than 2^32 locations");
+        self.keys.push(key.to_owned());
+        self.index.insert(key.to_owned(), i);
+        Loc(i)
+    }
+}
+
+impl Locations for Interner<String> {
+    fn place(&mut self, place: Place) -> Loc {
+        self.intern(place.fixed_name().as_str())
+    }
+}
+
+impl Locations for Interner<Place> {
+    fn place(&mut self, place: Place) -> Loc {
+        self.intern(&place)
+    }
 }
 
 impl Program {
@@ -353,8 +393,7 @@ impl Program {
         Program {
             name: name.into(),
             threads: Vec::new(),
-            locs: Vec::new(),
-            loc_index: BTreeMap::new(),
+            locs: Interner::default(),
             init: BTreeMap::new(),
         }
     }
@@ -371,12 +410,12 @@ impl Program {
 
     /// Number of shared locations mentioned.
     pub fn num_locs(&self) -> usize {
-        self.locs.len()
+        self.locs.keys.len()
     }
 
     /// Name of a location.
     pub fn loc_name(&self, loc: Loc) -> &str {
-        &self.locs[loc.0 as usize]
+        &self.locs.keys[loc.0 as usize]
     }
 
     /// Initial value of a location (0 unless set with
@@ -393,19 +432,12 @@ impl Program {
 
     /// Intern a location name.
     pub fn intern(&mut self, name: &str) -> Loc {
-        if let Some(&i) = self.loc_index.get(name) {
-            Loc(i)
-        } else {
-            let i = self.locs.len() as u32;
-            self.locs.push(name.to_string());
-            self.loc_index.insert(name.to_string(), i);
-            Loc(i)
-        }
+        self.locs.intern(name)
     }
 
     /// Look up an already-interned location.
     pub fn find_loc(&self, name: &str) -> Option<Loc> {
-        self.loc_index.get(name).map(|&i| Loc(i))
+        self.locs.index.get(name).map(|&i| Loc(i))
     }
 
     /// Append a prebuilt thread body (program templates emit `Thread`
@@ -418,8 +450,8 @@ impl Program {
     /// Add a thread and return its builder.
     pub fn thread(&mut self) -> ThreadBuilder<'_> {
         self.threads.push(Thread::default());
-        let idx = self.threads.len() - 1;
-        ThreadBuilder { program: self, idx, next_reg: 0 }
+        let instrs = &mut self.threads.last_mut().expect("just pushed").instrs;
+        ThreadBuilder { locs: &mut self.locs, instrs, next_reg: 0 }
     }
 
     /// Finish building. Consumes nothing; exists so call sites read
@@ -493,14 +525,16 @@ impl fmt::Display for Program {
     }
 }
 
-/// Fluent builder for a single thread. Obtained from [`Program::thread`].
+/// Fluent builder for a single thread. Obtained from [`Program::thread`]
+/// (locations interned into the program) or [`Body::build`] (locations
+/// recorded in the body, where their index may vary per grid thread).
 ///
 /// Each memory helper returns the destination register (for loads/RMWs)
 /// so values can be threaded into later expressions.
 #[derive(Debug)]
 pub struct ThreadBuilder<'p> {
-    program: &'p mut Program,
-    idx: usize,
+    locs: &'p mut dyn Locations,
+    instrs: &'p mut Vec<Instr>,
     next_reg: u16,
 }
 
@@ -512,27 +546,38 @@ impl<'p> ThreadBuilder<'p> {
     }
 
     fn push(&mut self, i: Instr) {
-        self.program.threads[self.idx].instrs.push(i);
+        self.instrs.push(i);
     }
 
     /// `r = load(class, loc)`; returns `r`.
-    pub fn load(&mut self, class: OpClass, loc: &str) -> Reg {
-        let loc = self.program.intern(loc);
+    pub fn load(&mut self, class: OpClass, loc: impl Into<Place>) -> Reg {
+        let loc = self.locs.place(loc.into());
         let dst = self.fresh_reg();
         self.push(Instr::Load { class, loc, dst });
         dst
     }
 
     /// `store(class, loc, val)`.
-    pub fn store(&mut self, class: OpClass, loc: &str, val: impl Into<Expr>) -> &mut Self {
-        let loc = self.program.intern(loc);
+    pub fn store(
+        &mut self,
+        class: OpClass,
+        loc: impl Into<Place>,
+        val: impl Into<Expr>,
+    ) -> &mut Self {
+        let loc = self.locs.place(loc.into());
         self.push(Instr::Store { class, loc, val: val.into() });
         self
     }
 
     /// `r = rmw(class, loc, op, operand)`; returns `r` (the old value).
-    pub fn rmw(&mut self, class: OpClass, loc: &str, op: RmwOp, operand: impl Into<Expr>) -> Reg {
-        let loc = self.program.intern(loc);
+    pub fn rmw(
+        &mut self,
+        class: OpClass,
+        loc: impl Into<Place>,
+        op: RmwOp,
+        operand: impl Into<Expr>,
+    ) -> Reg {
+        let loc = self.locs.place(loc.into());
         let dst = self.fresh_reg();
         self.push(Instr::Rmw {
             class,
@@ -550,11 +595,11 @@ impl<'p> ThreadBuilder<'p> {
     pub fn cas(
         &mut self,
         class: OpClass,
-        loc: &str,
+        loc: impl Into<Place>,
         expected: impl Into<Expr>,
         new: impl Into<Expr>,
     ) -> Reg {
-        let loc = self.program.intern(loc);
+        let loc = self.locs.place(loc.into());
         let dst = self.fresh_reg();
         self.push(Instr::Rmw {
             class,
@@ -593,11 +638,11 @@ impl<'p> ThreadBuilder<'p> {
     /// join — when the body is skipped they remain undefined (they read
     /// as 0 in the SC enumerator and stall the relaxed machine).
     pub fn if_nz(&mut self, cond: impl Into<Expr>, body: impl FnOnce(&mut ThreadBuilder<'_>)) {
-        let at = self.program.threads[self.idx].instrs.len();
+        let at = self.instrs.len();
         self.push(Instr::JumpIfZero { cond: cond.into(), skip: 0 });
         body(self);
-        let end = self.program.threads[self.idx].instrs.len();
-        match &mut self.program.threads[self.idx].instrs[at] {
+        let end = self.instrs.len();
+        match &mut self.instrs[at] {
             Instr::JumpIfZero { skip, .. } => *skip = end - at - 1,
             _ => unreachable!(),
         }
@@ -633,6 +678,387 @@ impl<'p> ThreadBuilder<'p> {
     pub fn scratch_store(&mut self, addr: impl Into<Expr>, val: impl Into<Expr>) -> &mut Self {
         self.push(Instr::ScratchStore { addr: addr.into(), val: val.into() });
         self
+    }
+}
+
+impl Locations for Program {
+    fn place(&mut self, place: Place) -> Loc {
+        self.locs.place(place)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Grid programs: one body per thread shape, instantiated per grid thread.
+// ---------------------------------------------------------------------
+
+/// An integer that may differ between the grid threads sharing one
+/// [`Body`]: a location index or a scratch address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum GridValue {
+    /// `base + per_block * block + per_thread * thread`. With zero
+    /// strides this is a constant; `per_block = tpb * s` and
+    /// `per_thread = s` make it affine in the global id.
+    Affine {
+        /// Value at block 0, thread 0.
+        base: Value,
+        /// Step per block.
+        per_block: Value,
+        /// Step per thread within a block.
+        per_thread: Value,
+    },
+    /// Column `n` of the grid thread's table row: a value that is data,
+    /// not geometry (a histogram's bin choice, a modular object walk).
+    Column(usize),
+}
+
+impl GridValue {
+    /// `base + per_block * block + per_thread * thread`.
+    pub const fn affine(base: Value, per_block: Value, per_thread: Value) -> GridValue {
+        GridValue::Affine { base, per_block, per_thread }
+    }
+
+    /// The value, when it is the same for every grid thread.
+    pub fn as_constant(self) -> Option<Value> {
+        match self {
+            GridValue::Affine { base, per_block: 0, per_thread: 0 } => Some(base),
+            _ => None,
+        }
+    }
+
+    /// The value for grid thread `(block, thread)` with table row `row`.
+    fn eval(self, block: usize, thread: usize, row: &[Value]) -> Value {
+        match self {
+            GridValue::Affine { base, per_block, per_thread } => {
+                base + per_block * block as Value + per_thread * thread as Value
+            }
+            GridValue::Column(n) => row[n],
+        }
+    }
+}
+
+/// The same value for every grid thread.
+impl From<usize> for GridValue {
+    fn from(v: usize) -> GridValue {
+        GridValue::affine(v as Value, 0, 0)
+    }
+}
+
+/// A location as a template names it: a bare `family` (`"stop"`), or a
+/// family followed by a decimal index (`"b17"`) that may vary per grid
+/// thread. Keeping the index apart from the name lets a lowering place
+/// `{family}{i}` at `base + stride * i` without parsing names.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Place {
+    /// Name, or name prefix when indexed.
+    pub family: String,
+    /// Index appended to the family.
+    pub index: Option<GridValue>,
+}
+
+impl Place {
+    /// `{family}{index}`.
+    pub fn at(family: &str, index: impl Into<GridValue>) -> Place {
+        Place { family: family.to_string(), index: Some(index.into()) }
+    }
+
+    /// The name for grid thread `(block, thread)` with table row `row`.
+    fn name_at(&self, block: usize, thread: usize, row: &[Value]) -> String {
+        match self.index {
+            None => self.family.clone(),
+            Some(v) => format!("{}{}", self.family, v.eval(block, thread, row)),
+        }
+    }
+
+    /// The name of a place whose index does not vary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index varies per grid thread: such a place only
+    /// exists in a [`Body`].
+    pub fn fixed_name(&self) -> String {
+        assert!(
+            self.index.is_none_or(|v| v.as_constant().is_some()),
+            "location `{}` varies per grid thread; name it in a Body",
+            self.family
+        );
+        self.name_at(0, 0, &[])
+    }
+}
+
+impl From<&str> for Place {
+    fn from(name: &str) -> Place {
+        Place { family: name.to_string(), index: None }
+    }
+}
+
+impl From<String> for Place {
+    fn from(family: String) -> Place {
+        Place { family, index: None }
+    }
+}
+
+impl From<&String> for Place {
+    fn from(name: &String) -> Place {
+        Place::from(name.as_str())
+    }
+}
+
+impl From<&Place> for Place {
+    fn from(place: &Place) -> Place {
+        place.clone()
+    }
+}
+
+/// Where a [`ThreadBuilder`] or a template interns the locations it
+/// names: a [`Program`] (fixed names) or a [`Body`] (names that may vary
+/// per grid thread).
+pub trait Locations: fmt::Debug {
+    /// The location `place` names, interned on first use.
+    fn place(&mut self, place: Place) -> Loc;
+}
+
+/// A thread written once for every grid thread that runs it.
+///
+/// `thread` is an ordinary flat [`Thread`] whose `Loc(k)` names
+/// `places()[k]`, listed in first-use order. The values that differ per
+/// grid thread are the place indices and the scratch addresses listed
+/// in `scratch_values()`; [`Grid::instantiate`] substitutes them to
+/// produce the flat thread a builder would write for one grid thread.
+#[derive(Debug, Clone, Default)]
+pub struct Body {
+    /// The instructions.
+    pub thread: Thread,
+    places: Interner<Place>,
+    /// `(instruction, address)`: scratch instructions whose address is
+    /// a grid value (their own `addr` is a placeholder).
+    scratch: Vec<(usize, GridValue)>,
+}
+
+impl Body {
+    /// A body written by `f` through a fresh [`ThreadBuilder`].
+    pub fn build(f: impl FnOnce(&mut ThreadBuilder<'_>)) -> Body {
+        let mut body = Body::default();
+        let Body { thread, places, .. } = &mut body;
+        f(&mut ThreadBuilder { locs: places, instrs: &mut thread.instrs, next_reg: 0 });
+        body
+    }
+
+    /// Locations, indexed by the body's `Loc`s.
+    pub fn places(&self) -> &[Place] {
+        &self.places.keys
+    }
+
+    /// Scratch instructions whose address varies: `(instruction, address)`.
+    pub fn scratch_values(&self) -> &[(usize, GridValue)] {
+        &self.scratch
+    }
+
+    /// Make instruction `at` (a scratch load or store) address `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if instruction `at` is not a scratch access.
+    pub fn vary_scratch(&mut self, at: usize, addr: GridValue) {
+        assert!(
+            matches!(
+                self.thread.instrs[at],
+                Instr::ScratchLoad { .. } | Instr::ScratchStore { .. }
+            ),
+            "instruction {at} is not a scratch access"
+        );
+        self.scratch.push((at, addr));
+    }
+
+    /// Table columns a grid thread running this body must supply.
+    pub fn columns(&self) -> usize {
+        let indices = self.places.keys.iter().filter_map(|p| p.index);
+        indices
+            .chain(self.scratch.iter().map(|&(_, v)| v))
+            .filter_map(|v| match v {
+                GridValue::Column(n) => Some(n + 1),
+                GridValue::Affine { .. } => None,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+impl Locations for Body {
+    fn place(&mut self, place: Place) -> Loc {
+        self.places.place(place)
+    }
+}
+
+/// A program over a `blocks × tpb` grid, written as a few [`Body`]s.
+///
+/// Grid thread `gid` (block-major, `gid = block * tpb + thread`) runs
+/// one body with one row of that body's table. The simulator lowering
+/// compiles each body once; [`Grid::program`] instantiates every grid
+/// thread into the flat [`Program`] the checkers and the emitter read.
+#[derive(Debug, Clone)]
+pub struct Grid {
+    name: String,
+    tpb: usize,
+    bodies: Vec<GridBody>,
+    /// Per grid thread: `(body, row of that body's table)`.
+    cells: Vec<(u32, u32)>,
+    init: Vec<(Place, Value)>,
+}
+
+#[derive(Debug, Clone)]
+struct GridBody {
+    body: Body,
+    columns: usize,
+    /// Row-major, `columns` values per row.
+    table: Vec<Value>,
+}
+
+impl Grid {
+    /// An empty grid of `tpb` threads per block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tpb` is zero.
+    pub fn new(name: impl Into<String>, tpb: usize) -> Grid {
+        assert!(tpb > 0, "a grid block needs at least one thread");
+        Grid { name: name.into(), tpb, bodies: Vec::new(), cells: Vec::new(), init: Vec::new() }
+    }
+
+    /// Every thread of `p` as its own body with no grid values, one
+    /// program thread per grid thread in order. The bodies keep the
+    /// program's whole location table, so instantiation reproduces `p`.
+    pub fn from_program(p: &Program, tpb: usize) -> Grid {
+        let mut g = Grid::new(p.name(), tpb);
+        let mut places = Body::default();
+        for name in &p.locs.keys {
+            places.place(Place::from(name));
+        }
+        for t in p.threads() {
+            let id = g.add_body(Body { thread: t.clone(), ..places.clone() });
+            g.push(id, &[]);
+        }
+        for (&l, &v) in &p.init {
+            g.set_init(p.loc_name(l), v);
+        }
+        g
+    }
+
+    /// Add a body; returns its id for [`Grid::push`].
+    pub fn add_body(&mut self, body: Body) -> usize {
+        let columns = body.columns();
+        self.bodies.push(GridBody { body, columns, table: Vec::new() });
+        self.bodies.len() - 1
+    }
+
+    /// Append the next grid thread: it runs body `body` with table row
+    /// `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` does not have the body's column count.
+    pub fn push(&mut self, body: usize, row: &[Value]) {
+        let b = &mut self.bodies[body];
+        assert_eq!(row.len(), b.columns, "body {body} takes {} table columns", b.columns);
+        let r = b.table.len().checked_div(b.columns).unwrap_or(0);
+        b.table.extend_from_slice(row);
+        let cell = (u32::try_from(body), u32::try_from(r));
+        self.cells.push((cell.0.expect("< 2^32 bodies"), cell.1.expect("< 2^32 table rows")));
+    }
+
+    /// Initial value of a location; its index must not vary.
+    pub fn set_init(&mut self, place: impl Into<Place>, v: Value) {
+        self.init.push((place.into(), v));
+    }
+
+    /// The grid's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Threads per block.
+    pub fn tpb(&self) -> usize {
+        self.tpb
+    }
+
+    /// Grid threads pushed so far.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Whether no grid thread has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Distinct bodies.
+    pub fn body_count(&self) -> usize {
+        self.bodies.len()
+    }
+
+    /// Body `id`.
+    pub fn body(&self, id: usize) -> &Body {
+        &self.bodies[id].body
+    }
+
+    /// Body `id`'s table: row-major, `body(id).columns()` values per row.
+    pub fn table(&self, id: usize) -> &[Value] {
+        &self.bodies[id].table
+    }
+
+    /// Grid thread `gid`'s body and table row index.
+    pub fn cell(&self, gid: usize) -> (usize, usize) {
+        let (b, r) = self.cells[gid];
+        (b as usize, r as usize)
+    }
+
+    /// Grid thread `gid`'s body and table row.
+    fn body_row(&self, gid: usize) -> (&Body, &[Value]) {
+        let (b, r) = self.cell(gid);
+        let gb = &self.bodies[b];
+        (&gb.body, &gb.table[r * gb.columns..(r + 1) * gb.columns])
+    }
+
+    /// Initial values, in the order they were set.
+    pub fn init(&self) -> &[(Place, Value)] {
+        &self.init
+    }
+
+    /// The flat thread grid thread `gid` runs, with its locations
+    /// interned into `p` in the body's first-use order: the same names,
+    /// `Loc` order and register numbering as a builder writing that
+    /// thread directly.
+    pub fn instantiate(&self, gid: usize, p: &mut Program) -> Thread {
+        let (body, row) = self.body_row(gid);
+        let (block, thread) = (gid / self.tpb, gid % self.tpb);
+        let locs: Vec<Loc> =
+            body.places().iter().map(|pl| p.intern(&pl.name_at(block, thread, row))).collect();
+        let mut t = body.thread.clone();
+        for i in &mut t.instrs {
+            if let Instr::Load { loc, .. } | Instr::Store { loc, .. } | Instr::Rmw { loc, .. } = i {
+                *loc = locs[loc.0 as usize];
+            }
+        }
+        for &(at, v) in &body.scratch {
+            if let Instr::ScratchLoad { addr, .. } | Instr::ScratchStore { addr, .. } =
+                &mut t.instrs[at]
+            {
+                *addr = Expr::Const(v.eval(block, thread, row));
+            }
+        }
+        t
+    }
+
+    /// Every grid thread instantiated in order, then the initial values.
+    pub fn program(&self) -> Program {
+        let mut p = Program::new(self.name.clone());
+        for gid in 0..self.cells.len() {
+            let t = self.instantiate(gid, &mut p);
+            p.push_thread(t);
+        }
+        for (place, v) in &self.init {
+            p.set_init(&place.fixed_name(), *v);
+        }
+        p
     }
 }
 

@@ -14,7 +14,7 @@
 use drfrlx_bridge::templates::{
     event_counter, flags as flags_t, ref_counter, seqlock, split_counter, work_queue,
 };
-use drfrlx_core::program::{Program, RmwOp};
+use drfrlx_core::program::{Place, Program, RmwOp};
 use drfrlx_core::OpClass;
 
 /// One template event-counter worker as its own thread.
@@ -183,7 +183,7 @@ pub fn ref_counter_data_mark() -> Program {
 /// Seqlock where the reader observes the speculative values
 /// unconditionally (ignoring the sequence check): a speculative race.
 pub fn seqlock_unconditional_use() -> Program {
-    let payloads: Vec<String> = vec!["data1".into()];
+    let payloads: Vec<Place> = vec!["data1".into()];
     let mut p = Program::new("seqlock_unconditional_use");
     {
         let mut t = p.thread();
@@ -299,7 +299,7 @@ pub fn work_queue_unpublished_slot() -> Program {
 /// reader's sequence check can pass without any happens-before to the
 /// payload stores, so the observed speculative loads race.
 pub fn seqlock_relaxed_unlock() -> Program {
-    let payloads: Vec<String> = vec!["data1".into()];
+    let payloads: Vec<Place> = vec!["data1".into()];
     let mut p = Program::new("seqlock_relaxed_unlock");
     {
         let mut t = p.thread();

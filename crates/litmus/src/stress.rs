@@ -52,7 +52,7 @@ pub fn event_counter_stress() -> Program {
     for (i, bin) in ["bin0", "bin1", "bin0"].into_iter().enumerate() {
         let mut t = p.thread();
         t.rmw(OpClass::Commutative, bin, RmwOp::FetchAdd, 1 + i as i64);
-        t.store(OpClass::Paired, &format!("done{i}"), 1);
+        t.store(OpClass::Paired, format!("done{i}"), 1);
     }
     {
         let mut t = p.thread();

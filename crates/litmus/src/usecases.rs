@@ -13,7 +13,7 @@
 use drfrlx_bridge::templates::{
     event_counter, flags as flags_t, ref_counter, seqlock, split_counter, work_queue,
 };
-use drfrlx_core::program::Program;
+use drfrlx_core::program::{Place, Program};
 use drfrlx_core::OpClass;
 
 /// Work Queue (Listing 1): a client enqueues a task and raises the
@@ -190,7 +190,7 @@ pub fn work_queue_multi_quantum() -> Program {
 /// (`fetch_add 0`), and uses the values only when the sequence numbers
 /// match and are even.
 pub fn seqlock() -> Program {
-    let payloads: Vec<String> = vec!["data1".into(), "data2".into()];
+    let payloads: Vec<Place> = vec!["data1".into(), "data2".into()];
     let mut p = Program::new("seqlock");
     {
         let mut t = p.thread();

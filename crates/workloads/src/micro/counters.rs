@@ -1,18 +1,21 @@
 //! Split Counter and Reference Counter microbenchmarks (the quantum
 //! use cases, §3.4, Listings 4 and 5).
 //!
-//! Both kernels are grid instantiations of the shared program templates
-//! in [`drfrlx_bridge::templates`]: the same `split_counter` and
+//! Both kernels are grids of the shared program templates in
+//! [`drfrlx_bridge::templates`]: the same `split_counter` and
 //! `ref_counter` emitters also produce the scaled-down litmus programs
 //! the axiomatic checkers enumerate, so the quantum-counter logic lives
-//! in exactly one place. Here the templates are stamped out at full
-//! scale and lowered with [`ProgramKernel::grid`], which places each
-//! counter on its own cache line and infers `use_result` per RMW from
-//! register liveness.
+//! in exactly one place. Here each template is written once as a
+//! thread-parametric body — the split counter's block index is affine
+//! in the block id, the reference counter's modular object walk is a
+//! per-thread table — and the layout places each counter on its own
+//! cache line; the lowering infers `use_result` per RMW from register
+//! liveness.
 
+use super::GridKernel;
 use drfrlx_bridge::templates::{ref_counter, split_counter};
-use drfrlx_bridge::ProgramKernel;
-use drfrlx_core::program::Program;
+use drfrlx_bridge::Layout;
+use drfrlx_core::program::{Body, Grid, GridValue, Place, Value as LitmusValue};
 use drfrlx_core::OpClass;
 use hsim_gpu::{Kernel, Value, WorkItem};
 
@@ -35,44 +38,44 @@ pub struct SplitCounter {
     pub increments: usize,
     /// Read sweeps per reader.
     pub sweeps: usize,
-    kernel: ProgramKernel,
+    lowered: GridKernel,
 }
 
 impl SplitCounter {
-    /// Build the kernel: the `split_counter` template instantiated at
-    /// grid scale (blocks × tpb threads, counter `c{b}` and reader
-    /// output `out{b}` each padded to a cache line).
+    /// Build the kernel: the `split_counter` template at grid scale
+    /// (blocks × tpb threads, counter `c{b}` and reader output `out{b}`
+    /// each padded to a cache line) — one reader body and one updater
+    /// body, indexed by the block id.
     pub fn new(blocks: usize, tpb: usize, increments: usize, sweeps: usize) -> SplitCounter {
         let shape = split_counter::Shape {
-            counters: (0..blocks).map(|b| format!("c{b}")).collect(),
+            counters: (0..blocks).map(|b| Place::at("c", b)).collect(),
             increments,
             sweeps,
             think_between_sweeps: 8,
             update_class: OpClass::Quantum,
             read_class: OpClass::Quantum,
         };
-        let mut p = Program::new("SC");
-        for block in 0..blocks {
-            for thread in 0..tpb {
-                let mut t = p.thread();
-                if thread == 0 {
-                    split_counter::reader(&mut t, &shape, Some(&format!("out{block}")));
-                } else {
-                    split_counter::updater(&mut t, &shape, &format!("c{block}"));
-                }
+        // Block `b`'s counter `c{b}` and reader output `out{b}`.
+        let own = GridValue::affine(0, 1, 0);
+        let reader = Body::build(|t| split_counter::reader(t, &shape, Some(Place::at("out", own))));
+        let updater = Body::build(|t| split_counter::updater(t, &shape, Place::at("c", own)));
+        let mut grid = Grid::new("SC", tpb);
+        let (reader, updater) = (grid.add_body(reader), grid.add_body(updater));
+        for _ in 0..blocks {
+            grid.push(reader, &[]);
+            for _ in 1..tpb {
+                grid.push(updater, &[]);
             }
         }
-        let p = p.build();
         // line-padded counters | line-padded reader outputs
-        let memory = 16 * (blocks + blocks);
-        let kernel = ProgramKernel::grid(&p, tpb, memory, 0, |n| {
-            if let Some(b) = n.strip_prefix("out") {
-                16 * (blocks + b.parse::<usize>().unwrap()) as u64
-            } else {
-                16 * n.strip_prefix('c').unwrap().parse::<u64>().unwrap()
-            }
-        });
-        SplitCounter { blocks, tpb, increments, sweeps, kernel }
+        let layout = Layout::new().array("c", 0, 16).array("out", 16 * blocks as u64, 16);
+        let lowered = GridKernel::new(grid, layout, 16 * (blocks + blocks), 0);
+        SplitCounter { blocks, tpb, increments, sweeps, lowered }
+    }
+
+    /// The grid program and its lowering.
+    pub fn lowered(&self) -> &GridKernel {
+        &self.lowered
     }
 }
 
@@ -84,22 +87,22 @@ impl Default for SplitCounter {
 
 impl Kernel for SplitCounter {
     fn name(&self) -> String {
-        self.kernel.name()
+        self.lowered.kernel.name()
     }
     fn blocks(&self) -> usize {
-        self.kernel.blocks()
+        self.lowered.kernel.blocks()
     }
     fn threads_per_block(&self) -> usize {
-        self.kernel.threads_per_block()
+        self.lowered.kernel.threads_per_block()
     }
     fn memory_words(&self) -> usize {
-        self.kernel.memory_words()
+        self.lowered.kernel.memory_words()
     }
     fn init_memory(&self, mem: &mut [Value]) {
-        self.kernel.init_memory(mem);
+        self.lowered.kernel.init_memory(mem);
     }
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        self.kernel.item(block, thread)
+        self.lowered.kernel.item(block, thread)
     }
     fn validate(&self, mem: &[Value]) -> Result<(), String> {
         // Exact final counters (quantum relaxes ordering, not atomicity).
@@ -139,54 +142,60 @@ pub struct RefCounter {
     pub objects: usize,
     /// Objects visited per thread.
     pub visits: usize,
-    kernel: ProgramKernel,
+    lowered: GridKernel,
 }
 
 impl RefCounter {
     /// Build the kernel: `visits` unrolled `ref_counter::visit`s per
     /// thread, each touching a pair of neighbouring objects (Listing
-    /// 5's refcount1/refcount2) before advancing one object.
+    /// 5's refcount1/refcount2) before advancing one object. One body
+    /// serves every thread; its walk is the thread's table row.
     pub fn new(blocks: usize, tpb: usize, objects: usize, visits: usize) -> RefCounter {
         let shape = ref_counter::Shape {
             count_class: OpClass::Quantum,
             mark_class: OpClass::Commutative,
             think: 4,
         };
-        let obj_pair = |o: usize| {
-            let b = (o + 1) % objects;
-            [
-                ref_counter::Obj { count: format!("c{o}"), mark: format!("m{o}"), mark_value: 1 },
-                ref_counter::Obj { count: format!("c{b}"), mark: format!("m{b}"), mark_value: 1 },
-            ]
+        // Visit `v` touches the objects in table columns `2v` and `2v + 1`.
+        let obj = |col: usize| ref_counter::Obj {
+            count: Place::at("c", GridValue::Column(col)),
+            mark: Place::at("m", GridValue::Column(col)),
+            mark_value: 1,
         };
-        let mut p = Program::new("RC");
-        for block in 0..blocks {
-            for thread in 0..tpb {
-                // Each block mostly works a contiguous slice of the
-                // object pool (objects belong to a worker's arena);
-                // slices of neighbouring blocks overlap so cross-CU
-                // sharing still occurs.
-                let per_block = (objects / blocks).max(1);
-                let id = block * tpb + thread;
-                let mut obj = (block * per_block + id % (per_block + 1)) % objects;
-                let mut t = p.thread();
-                for _ in 0..visits {
-                    ref_counter::visit(&mut t, &shape, &obj_pair(obj));
-                    obj = (obj + 1) % objects;
-                }
-            }
-        }
-        let p = p.build();
-        // Each object is line-padded: refcount in the first word, the
-        // deletion mark in the second.
-        let kernel = ProgramKernel::grid(&p, tpb, 16 * objects, 0, |n| {
-            let o: u64 = n[1..].parse().unwrap();
-            match n.as_bytes()[0] {
-                b'c' => 16 * o,
-                _ => 16 * o + 1,
+        let body = Body::build(|t| {
+            for v in 0..visits {
+                ref_counter::visit(t, &shape, &[obj(2 * v), obj(2 * v + 1)]);
             }
         });
-        RefCounter { blocks, tpb, objects, visits, kernel }
+        let mut grid = Grid::new("RC", tpb);
+        let id = grid.add_body(body);
+        // Each block mostly works a contiguous slice of the object pool
+        // (objects belong to a worker's arena); slices of neighbouring
+        // blocks overlap so cross-CU sharing still occurs.
+        let per_block = (objects / blocks).max(1);
+        let mut row: Vec<LitmusValue> = Vec::with_capacity(2 * visits);
+        for block in 0..blocks {
+            for thread in 0..tpb {
+                let gid = block * tpb + thread;
+                let mut obj = (block * per_block + gid % (per_block + 1)) % objects;
+                row.clear();
+                for _ in 0..visits {
+                    row.extend([obj as LitmusValue, ((obj + 1) % objects) as LitmusValue]);
+                    obj = (obj + 1) % objects;
+                }
+                grid.push(id, &row);
+            }
+        }
+        // Each object is line-padded: refcount in the first word, the
+        // deletion mark in the second.
+        let layout = Layout::new().array("c", 0, 16).array("m", 1, 16);
+        let lowered = GridKernel::new(grid, layout, 16 * objects, 0);
+        RefCounter { blocks, tpb, objects, visits, lowered }
+    }
+
+    /// The grid program and its lowering.
+    pub fn lowered(&self) -> &GridKernel {
+        &self.lowered
     }
 }
 
@@ -198,22 +207,22 @@ impl Default for RefCounter {
 
 impl Kernel for RefCounter {
     fn name(&self) -> String {
-        self.kernel.name()
+        self.lowered.kernel.name()
     }
     fn blocks(&self) -> usize {
-        self.kernel.blocks()
+        self.lowered.kernel.blocks()
     }
     fn threads_per_block(&self) -> usize {
-        self.kernel.threads_per_block()
+        self.lowered.kernel.threads_per_block()
     }
     fn memory_words(&self) -> usize {
-        self.kernel.memory_words()
+        self.lowered.kernel.memory_words()
     }
     fn init_memory(&self, mem: &mut [Value]) {
-        self.kernel.init_memory(mem);
+        self.lowered.kernel.init_memory(mem);
     }
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        self.kernel.item(block, thread)
+        self.lowered.kernel.item(block, thread)
     }
     fn validate(&self, mem: &[Value]) -> Result<(), String> {
         // All references dropped: every count is zero again.

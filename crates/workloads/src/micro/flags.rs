@@ -10,13 +10,14 @@
 //! scale, produces the litmus use-case the axiomatic checkers
 //! enumerate. The worker's poll loop and main's join loop are unrolled
 //! forward with every exit test jumping to the loop's end, so a stopped
-//! worker issues no further memory operations; the program carries one
-//! worker body and one main body, replicated over the grid by
-//! [`ProgramKernel::grid_with_layout`].
+//! worker issues no further memory operations. The grid has one main
+//! body and one worker body shared by every other grid thread; neither
+//! has a value that varies per thread.
 
+use super::GridKernel;
 use drfrlx_bridge::templates::flags;
-use drfrlx_bridge::ProgramKernel;
-use drfrlx_core::program::Program;
+use drfrlx_bridge::Layout;
+use drfrlx_core::program::{Body, Grid};
 use drfrlx_core::OpClass;
 use hsim_gpu::{Kernel, Value, WorkItem};
 
@@ -36,16 +37,16 @@ pub struct Flags {
     /// Upper bound on worker poll iterations (deterministic exit even
     /// if `stop` propagates late).
     pub max_polls: usize,
-    kernel: ProgramKernel,
+    lowered: GridKernel,
 }
 
 impl Flags {
     /// Build the kernel from the `flags` template: one main thread,
     /// `blocks * tpb - 1` workers sharing a single unrolled body.
     pub fn new(blocks: usize, tpb: usize, main_delay: usize, max_polls: usize) -> Flags {
-        let mut p = Program::new("Flags");
-        let main = flags::main(
-            &mut p,
+        let mut main = Body::default();
+        main.thread = flags::main(
+            &mut main,
             &flags::Main {
                 delay: Some(main_delay as u32),
                 stop_class: OpClass::NonOrdering,
@@ -59,8 +60,9 @@ impl Flags {
                 tail: flags::Tail::PublishDirty(OpClass::NonOrdering),
             },
         );
-        let worker = flags::worker(
-            &mut p,
+        let mut worker = Body::default();
+        worker.thread = flags::worker(
+            &mut worker,
             &flags::Worker {
                 stop_class: OpClass::NonOrdering,
                 dirty_class: OpClass::Commutative,
@@ -72,16 +74,19 @@ impl Flags {
                 exit: flags::Exit::Fadd(OpClass::Paired),
             },
         );
-        p.push_thread(main);
-        p.push_thread(worker);
-        let p = p.build();
-        let layout: Vec<usize> = (0..blocks * tpb).map(|i| usize::from(i != 0)).collect();
-        let kernel = ProgramKernel::grid_with_layout(&p, &layout, tpb, 3, 0, |n| match n {
-            "stop" => STOP,
-            "dirty" => DIRTY,
-            _ => EXITED,
-        });
-        Flags { blocks, tpb, main_delay, max_polls, kernel }
+        let mut grid = Grid::new("Flags", tpb);
+        let (main, worker) = (grid.add_body(main), grid.add_body(worker));
+        for gid in 0..blocks * tpb {
+            grid.push(if gid == 0 { main } else { worker }, &[]);
+        }
+        let layout = Layout::new().word("stop", STOP).word("dirty", DIRTY).word("exited", EXITED);
+        let lowered = GridKernel::new(grid, layout, 3, 0);
+        Flags { blocks, tpb, main_delay, max_polls, lowered }
+    }
+
+    /// The grid program and its lowering.
+    pub fn lowered(&self) -> &GridKernel {
+        &self.lowered
     }
 }
 
@@ -93,22 +98,22 @@ impl Default for Flags {
 
 impl Kernel for Flags {
     fn name(&self) -> String {
-        self.kernel.name()
+        self.lowered.kernel.name()
     }
     fn blocks(&self) -> usize {
-        self.kernel.blocks()
+        self.lowered.kernel.blocks()
     }
     fn threads_per_block(&self) -> usize {
-        self.kernel.threads_per_block()
+        self.lowered.kernel.threads_per_block()
     }
     fn memory_words(&self) -> usize {
-        self.kernel.memory_words()
+        self.lowered.kernel.memory_words()
     }
     fn init_memory(&self, mem: &mut [Value]) {
-        self.kernel.init_memory(mem);
+        self.lowered.kernel.init_memory(mem);
     }
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        self.kernel.item(block, thread)
+        self.lowered.kernel.item(block, thread)
     }
     fn validate(&self, mem: &[Value]) -> Result<(), String> {
         if mem[STOP as usize] != 1 {

@@ -12,17 +12,20 @@
 //!   loads take ownership, so bins ping-pong between L1s — the case
 //!   where DD0 loses to GD0 in Figure 3.
 //!
-//! All three are instantiations of the `hist` templates in
+//! All three are grids of the `hist` templates in
 //! [`drfrlx_bridge::templates`] (the scratch/barrier/merge shape, the
-//! global-RMW shape, the non-ordering read walk), lowered through
-//! [`ProgramKernel::grid`]. The per-value bin assignment stays here —
-//! the templates take it as a closure — so the kernels share their
-//! `expected()` oracle with the emitted programs by construction.
+//! global-RMW shape, the non-ordering read walk). Each is one body
+//! shared by every grid thread: input addresses are affine in the
+//! global id, and each thread's bin choices are its row of the grid's
+//! table. The per-value bin assignment stays here — the templates take
+//! it as a closure — so the kernels share their `expected()` oracle
+//! with the emitted programs by construction.
 
+use super::GridKernel;
 use crate::util::SplitMix64;
 use drfrlx_bridge::templates::hist;
-use drfrlx_bridge::ProgramKernel;
-use drfrlx_core::program::Program;
+use drfrlx_bridge::Layout;
+use drfrlx_core::program::Place;
 use drfrlx_core::OpClass;
 use hsim_gpu::{Kernel, Value, WorkItem};
 
@@ -61,17 +64,16 @@ impl Default for HistParams {
 }
 
 impl HistParams {
-    /// Bin addressing for the templates: global bin `b{n}` at word `n`,
-    /// input value `i{k}` at word `bins + k`.
-    fn addr_of(&self) -> impl Fn(&str) -> u64 {
-        let bins = self.bins;
-        move |n: &str| {
-            if let Some(b) = n.strip_prefix('b') {
-                b.parse().unwrap()
-            } else {
-                input_base(bins) + n[1..].parse::<u64>().unwrap()
-            }
-        }
+    /// Where the templates' locations live: global bin `b{n}` at word
+    /// `n`, input value `i{k}` at word `bins + k`.
+    fn layout(&self) -> Layout {
+        Layout::new().array("b", 0, 1).array("i", input_base(self.bins), 1)
+    }
+
+    /// The bin each input value falls in.
+    fn bin_of(&self) -> impl Fn(usize, usize, usize) -> usize {
+        let (seed, bins) = (self.seed, self.bins);
+        move |b: usize, t: usize, i: usize| input_of(seed, b, t, i, bins) as usize
     }
 
     fn expected(&self) -> Vec<Value> {
@@ -106,7 +108,7 @@ impl HistParams {
 pub struct Hist {
     /// Shape parameters.
     pub params: HistParams,
-    kernel: ProgramKernel,
+    lowered: GridKernel,
 }
 
 impl Hist {
@@ -121,21 +123,16 @@ impl Hist {
             tpb: params.tpb,
             merge_class: OpClass::Commutative,
         };
-        let seed = params.seed;
-        let bins = params.bins;
-        let bin_of = move |b: usize, t: usize, i: usize| input_of(seed, b, t, i, bins) as usize;
-        let mut p = Program::new("H");
-        for block in 0..params.blocks {
-            for thread in 0..params.tpb {
-                let t = hist::local_thread(&mut p, &shape, block, thread, &bin_of);
-                p.push_thread(t);
-            }
-        }
-        let p = p.build();
+        let grid = hist::local_grid("H", &shape, params.blocks, &params.bin_of());
         let memory = params.bins + params.blocks * params.tpb * params.per_thread;
         let scratch = params.tpb * params.bins;
-        let kernel = ProgramKernel::grid(&p, params.tpb, memory, scratch, params.addr_of());
-        Hist { params, kernel }
+        let lowered = GridKernel::new(grid, params.layout(), memory, scratch);
+        Hist { params, lowered }
+    }
+
+    /// The grid program and its lowering.
+    pub fn lowered(&self) -> &GridKernel {
+        &self.lowered
     }
 }
 
@@ -147,25 +144,25 @@ impl Default for Hist {
 
 impl Kernel for Hist {
     fn name(&self) -> String {
-        self.kernel.name()
+        self.lowered.kernel.name()
     }
     fn blocks(&self) -> usize {
-        self.kernel.blocks()
+        self.lowered.kernel.blocks()
     }
     fn threads_per_block(&self) -> usize {
-        self.kernel.threads_per_block()
+        self.lowered.kernel.threads_per_block()
     }
     fn scratch_words(&self) -> usize {
-        self.kernel.scratch_words()
+        self.lowered.kernel.scratch_words()
     }
     fn memory_words(&self) -> usize {
-        self.kernel.memory_words()
+        self.lowered.kernel.memory_words()
     }
     fn init_memory(&self, mem: &mut [Value]) {
-        self.kernel.init_memory(mem);
+        self.lowered.kernel.init_memory(mem);
     }
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        self.kernel.item(block, thread)
+        self.lowered.kernel.item(block, thread)
     }
     fn validate(&self, mem: &[Value]) -> Result<(), String> {
         self.params.validate_bins(mem)
@@ -186,7 +183,7 @@ pub struct HistGlobal {
     /// an increment has nothing to acquire, so the release-only RMW
     /// keeps the input lines in the L1).
     pub update_class: OpClass,
-    kernel: ProgramKernel,
+    lowered: GridKernel,
 }
 
 impl HistGlobal {
@@ -199,20 +196,15 @@ impl HistGlobal {
             tpb: params.tpb,
             merge_class: update_class,
         };
-        let seed = params.seed;
-        let bins = params.bins;
-        let bin_of = move |b: usize, t: usize, i: usize| input_of(seed, b, t, i, bins) as usize;
-        let mut p = Program::new("HG");
-        for block in 0..params.blocks {
-            for thread in 0..params.tpb {
-                let t = hist::global_thread(&mut p, &shape, block, thread, update_class, &bin_of);
-                p.push_thread(t);
-            }
-        }
-        let p = p.build();
+        let grid = hist::global_grid("HG", &shape, params.blocks, update_class, &params.bin_of());
         let memory = params.bins + params.blocks * params.tpb * params.per_thread;
-        let kernel = ProgramKernel::grid(&p, params.tpb, memory, 0, params.addr_of());
-        HistGlobal { params, update_class, kernel }
+        let lowered = GridKernel::new(grid, params.layout(), memory, 0);
+        HistGlobal { params, update_class, lowered }
+    }
+
+    /// The grid program and its lowering.
+    pub fn lowered(&self) -> &GridKernel {
+        &self.lowered
     }
 }
 
@@ -224,22 +216,22 @@ impl Default for HistGlobal {
 
 impl Kernel for HistGlobal {
     fn name(&self) -> String {
-        self.kernel.name()
+        self.lowered.kernel.name()
     }
     fn blocks(&self) -> usize {
-        self.kernel.blocks()
+        self.lowered.kernel.blocks()
     }
     fn threads_per_block(&self) -> usize {
-        self.kernel.threads_per_block()
+        self.lowered.kernel.threads_per_block()
     }
     fn memory_words(&self) -> usize {
-        self.kernel.memory_words()
+        self.lowered.kernel.memory_words()
     }
     fn init_memory(&self, mem: &mut [Value]) {
-        self.kernel.init_memory(mem);
+        self.lowered.kernel.init_memory(mem);
     }
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        self.kernel.item(block, thread)
+        self.lowered.kernel.item(block, thread)
     }
     fn validate(&self, mem: &[Value]) -> Result<(), String> {
         self.params.validate_bins(mem)
@@ -263,25 +255,25 @@ pub struct HistGlobalNonOrder {
     /// Shape parameters: `bins` is the table size, `per_thread` the
     /// reads issued per thread.
     pub params: HistParams,
-    kernel: ProgramKernel,
+    lowered: GridKernel,
 }
 
 impl HistGlobalNonOrder {
     /// Build the kernel: a pre-populated histogram walked with
     /// non-ordering atomic loads (the update phase is excluded).
     pub fn new(params: HistParams) -> HistGlobalNonOrder {
-        let threads = params.blocks * params.tpb;
-        let mut p = Program::new("HG-NO");
-        for gid in 0..threads {
-            let t = hist::nonorder_thread(&mut p, params.bins, params.per_thread, gid, threads);
-            p.push_thread(t);
-        }
+        let mut grid =
+            hist::nonorder_grid("HG-NO", params.bins, params.per_thread, params.blocks, params.tpb);
         for j in 0..params.bins {
-            p.set_init(&format!("b{j}"), (j % 7 + 1) as i64);
+            grid.set_init(Place::at("b", j), (j % 7 + 1) as i64);
         }
-        let p = p.build();
-        let kernel = ProgramKernel::grid(&p, params.tpb, params.bins, 0, params.addr_of());
-        HistGlobalNonOrder { params, kernel }
+        let lowered = GridKernel::new(grid, params.layout(), params.bins, 0);
+        HistGlobalNonOrder { params, lowered }
+    }
+
+    /// The grid program and its lowering.
+    pub fn lowered(&self) -> &GridKernel {
+        &self.lowered
     }
 }
 
@@ -293,22 +285,22 @@ impl Default for HistGlobalNonOrder {
 
 impl Kernel for HistGlobalNonOrder {
     fn name(&self) -> String {
-        self.kernel.name()
+        self.lowered.kernel.name()
     }
     fn blocks(&self) -> usize {
-        self.kernel.blocks()
+        self.lowered.kernel.blocks()
     }
     fn threads_per_block(&self) -> usize {
-        self.kernel.threads_per_block()
+        self.lowered.kernel.threads_per_block()
     }
     fn memory_words(&self) -> usize {
-        self.kernel.memory_words()
+        self.lowered.kernel.memory_words()
     }
     fn init_memory(&self, mem: &mut [Value]) {
-        self.kernel.init_memory(mem);
+        self.lowered.kernel.init_memory(mem);
     }
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        self.kernel.item(block, thread)
+        self.lowered.kernel.item(block, thread)
     }
     fn validate(&self, mem: &[Value]) -> Result<(), String> {
         // Read-only: bins must be untouched.
@@ -371,6 +363,19 @@ mod tests {
         let h = run_workload(&Hist::new(p.clone()), cfg, &params);
         let hg = run_workload(&HistGlobal::new(p, OpClass::Commutative), cfg, &params);
         assert!(hg.atomics > 2 * h.atomics, "HG {} vs H {} atomics", hg.atomics, h.atomics);
+    }
+
+    #[test]
+    fn each_histogram_lowers_to_one_body_shared_by_all_480_threads() {
+        let h = Hist::new(HistParams { per_thread: 256, ..HistParams::default() });
+        let hg = HistGlobal::default();
+        let hg_no = HistGlobalNonOrder::default();
+        for g in [h.lowered(), hg.lowered(), hg_no.lowered()] {
+            let k = &g.kernel;
+            assert_eq!(k.blocks() * k.threads_per_block(), 480, "{}", k.name());
+            assert_eq!(k.body_count(), 1, "{}: one compiled body for every thread", k.name());
+            assert_eq!(g.grid.body_count(), 1, "{}", k.name());
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! section/retry bookkeeping carried in registers, and every attempt
 //! guard jumps to the thread's end once the quota of sections is done.
 
+use super::GridKernel;
 use drfrlx_bridge::templates::seqlock;
-use drfrlx_bridge::ProgramKernel;
-use drfrlx_core::program::Program;
+use drfrlx_bridge::Layout;
+use drfrlx_core::program::{Body, Grid, Place};
 use drfrlx_core::OpClass;
 use hsim_gpu::{Kernel, Value, WorkItem};
 
@@ -43,7 +44,7 @@ pub struct Seqlocks {
     pub reads: usize,
     /// Retry cap per read attempt (keeps worst-case runs bounded).
     pub max_retries: usize,
-    kernel: ProgramKernel,
+    lowered: GridKernel,
 }
 
 impl Seqlocks {
@@ -63,12 +64,10 @@ impl Seqlocks {
         } else {
             (OpClass::Paired, OpClass::Paired)
         };
-        let payloads: Vec<String> = (0..payload).map(|i| format!("d{i}")).collect();
-        let mut p = Program::new("SEQ");
-        {
-            let mut t = p.thread();
+        let payloads: Vec<Place> = (0..payload).map(|i| Place::at("d", i)).collect();
+        let writer = Body::build(|t| {
             seqlock::writer(
-                &mut t,
+                t,
                 &seqlock::Writer {
                     lock: true,
                     lock_class: acq,
@@ -81,9 +80,10 @@ impl Seqlocks {
                 // release value seq = 2w + 2.
                 |w, i| (2 * w + 2 + i) as drfrlx_core::program::Value,
             );
-        }
-        let reader = seqlock::reader(
-            &mut p,
+        });
+        let mut reader = Body::default();
+        reader.thread = seqlock::reader(
+            &mut reader,
             &seqlock::Reader {
                 seq0_class: acq,
                 seq1_class: rel,
@@ -94,15 +94,19 @@ impl Seqlocks {
                 tail: seqlock::Tail::None,
             },
         );
-        p.push_thread(reader);
-        let p = p.build();
-        let layout: Vec<usize> = (0..blocks * tpb).map(|i| usize::from(i != 0)).collect();
-        let kernel =
-            ProgramKernel::grid_with_layout(&p, &layout, tpb, 1 + payload, 0, |n| match n {
-                "seq" => SEQ,
-                d => DATA_BASE + d[1..].parse::<u64>().unwrap(),
-            });
-        Seqlocks { acqrel, blocks, tpb, payload, writes, reads, max_retries, kernel }
+        let mut grid = Grid::new("SEQ", tpb);
+        let (writer, reader) = (grid.add_body(writer), grid.add_body(reader));
+        for gid in 0..blocks * tpb {
+            grid.push(if gid == 0 { writer } else { reader }, &[]);
+        }
+        let layout = Layout::new().word("seq", SEQ).array("d", DATA_BASE, 1);
+        let lowered = GridKernel::new(grid, layout, 1 + payload, 0);
+        Seqlocks { acqrel, blocks, tpb, payload, writes, reads, max_retries, lowered }
+    }
+
+    /// The grid program and its lowering.
+    pub fn lowered(&self) -> &GridKernel {
+        &self.lowered
     }
 }
 
@@ -114,22 +118,22 @@ impl Default for Seqlocks {
 
 impl Kernel for Seqlocks {
     fn name(&self) -> String {
-        self.kernel.name()
+        self.lowered.kernel.name()
     }
     fn blocks(&self) -> usize {
-        self.kernel.blocks()
+        self.lowered.kernel.blocks()
     }
     fn threads_per_block(&self) -> usize {
-        self.kernel.threads_per_block()
+        self.lowered.kernel.threads_per_block()
     }
     fn memory_words(&self) -> usize {
-        self.kernel.memory_words()
+        self.lowered.kernel.memory_words()
     }
     fn init_memory(&self, mem: &mut [Value]) {
-        self.kernel.init_memory(mem);
+        self.lowered.kernel.init_memory(mem);
     }
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        self.kernel.item(block, thread)
+        self.lowered.kernel.item(block, thread)
     }
     fn validate(&self, mem: &[Value]) -> Result<(), String> {
         // Writer completed all updates: seq is even and equals 2*writes.

@@ -25,13 +25,37 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// Write a litmus source into a per-test scratch dir, returning its path.
-fn litmus_file(name: &str, src: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("drfrlx_exit_codes_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join(name);
-    std::fs::write(&path, src).expect("litmus file written");
-    path
+/// A test's own scratch directory under the system temp dir, removed
+/// when the test ends — also when it fails — so runs leave nothing
+/// behind. Named by process and test, so tests may run in parallel.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(test: &str) -> ScratchDir {
+        let name = format!("drfrlx_exit_codes_{}_{test}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        ScratchDir(dir)
+    }
+
+    /// Path of `name` inside the directory.
+    fn path(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+
+    /// Write a litmus source into the directory, returning its path.
+    fn litmus(&self, name: &str, src: &str) -> PathBuf {
+        let path = self.path(name);
+        std::fs::write(&path, src).expect("litmus file written");
+        path
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        // Best effort: a leftover directory must not fail the test.
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 const RACE_FREE: &str = "litmus quiet\n\nthread t0 {\n    store.data x 1;\n}\n";
@@ -51,17 +75,19 @@ const WIDE: &str = "litmus wide\n\n\
 
 #[test]
 fn check_exits_0_on_race_free_and_2_on_racy() {
-    let clean = litmus_file("quiet.litmus", RACE_FREE);
+    let dir = ScratchDir::new("check_exits_0_on_race_free_and_2_on_racy");
+    let clean = dir.litmus("quiet.litmus", RACE_FREE);
     assert_eq!(code(&drfrlx(&["check", clean.to_str().unwrap()])), 0);
 
-    let racy = litmus_file("noisy.litmus", RACY);
+    let racy = dir.litmus("noisy.litmus", RACY);
     let out = drfrlx(&["check", racy.to_str().unwrap()]);
     assert_eq!(code(&out), 2, "a data race is a finding: {}", stdout(&out));
 }
 
 #[test]
 fn check_exits_3_when_the_execution_budget_runs_out() {
-    let wide = litmus_file("wide3.litmus", WIDE);
+    let dir = ScratchDir::new("check_exits_3_when_the_execution_budget_runs_out");
+    let wide = dir.litmus("wide3.litmus", WIDE);
     let out = drfrlx(&["check", wide.to_str().unwrap(), "--max-execs", "10", "--model", "drf0"]);
     // 10 of 1680 executions seen, all race-free: no verdict.
     assert_eq!(code(&out), 3, "{}\n{}", stdout(&out), String::from_utf8_lossy(&out.stderr));
@@ -82,14 +108,15 @@ fn usage_errors_exit_2_and_internal_errors_exit_101() {
 /// never a panic.
 #[test]
 fn conform_rejects_an_unlowerable_program_without_panicking() {
-    let bad = litmus_file(
+    let dir = ScratchDir::new("conform_rejects_an_unlowerable_program_without_panicking");
+    let bad = dir.litmus(
         "scratch_reg.litmus",
         "litmus scratch_reg\n\
          thread t0 { r0 = load.data x; sstore r0 1; barrier; }\n\
          thread t1 { barrier; r1 = sload 0; observe r1; }\n",
     );
     let negative =
-        litmus_file("scratch_neg.litmus", "litmus scratch_neg\nthread t0 { sstore (-1) 1; }\n");
+        dir.litmus("scratch_neg.litmus", "litmus scratch_neg\nthread t0 { sstore (-1) 1; }\n");
     for (file, expr) in [(&bad, "`r0`"), (&negative, "`-1`")] {
         for extra in [&[][..], &["--timeout-secs", "60"]] {
             let mut args = vec!["conform", file.to_str().unwrap(), "--schedules", "2"];
@@ -107,7 +134,8 @@ fn conform_rejects_an_unlowerable_program_without_panicking() {
 
 #[test]
 fn check_checkpoint_resume_round_trips_byte_for_byte() {
-    let wide = litmus_file("wide_resume.litmus", WIDE);
+    let dir = ScratchDir::new("check_checkpoint_resume_round_trips_byte_for_byte");
+    let wide = dir.litmus("wide_resume.litmus", WIDE);
     let path = wide.to_str().unwrap();
     let ckpt = wide.with_file_name("wide.ckpt.json");
     let ckpt = ckpt.to_str().unwrap();
@@ -132,7 +160,8 @@ fn check_checkpoint_resume_round_trips_byte_for_byte() {
 
 #[test]
 fn resume_rejects_a_checkpoint_from_different_options() {
-    let wide = litmus_file("wide_reject.litmus", WIDE);
+    let dir = ScratchDir::new("resume_rejects_a_checkpoint_from_different_options");
+    let wide = dir.litmus("wide_reject.litmus", WIDE);
     let path = wide.to_str().unwrap();
     let ckpt = wide.with_file_name("wide_reject.ckpt.json");
     let ckpt = ckpt.to_str().unwrap();
@@ -144,9 +173,8 @@ fn resume_rejects_a_checkpoint_from_different_options() {
 
 #[test]
 fn conform_fuzz_exits_0_and_checkpoints_round_trip() {
-    let dir = std::env::temp_dir().join(format!("drfrlx_exit_codes_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let ckpt = dir.join("fuzz.ckpt.json");
+    let dir = ScratchDir::new("conform_fuzz_exits_0_and_checkpoints_round_trip");
+    let ckpt = dir.path("fuzz.ckpt.json");
     let ckpt = ckpt.to_str().unwrap();
 
     let run = drfrlx(&[
@@ -180,8 +208,8 @@ fn conform_fuzz_exits_0_and_checkpoints_round_trip() {
 /// same budget at the same shard.
 #[test]
 fn every_corpus_file_round_trips_through_a_checkpoint_under_every_model() {
-    let dir = std::env::temp_dir().join(format!("drfrlx_exit_codes_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir =
+        ScratchDir::new("every_corpus_file_round_trips_through_a_checkpoint_under_every_model");
     let mut files: Vec<PathBuf> = std::fs::read_dir("litmus-tests")
         .expect("corpus dir")
         .map(|e| e.expect("dir entry").path())
@@ -195,7 +223,7 @@ fn every_corpus_file_round_trips_through_a_checkpoint_under_every_model() {
     }
     for (file, name) in files.iter().zip(&names) {
         for model in ["drf0", "drf1", "drfrlx"] {
-            let ckpt = dir.join(format!("{name}.{model}.ckpt.json"));
+            let ckpt = dir.path(&format!("{name}.{model}.ckpt.json"));
             let mut args =
                 vec!["check", file.to_str().unwrap(), "--model", model, "--threads", "1"];
             if name.contains("stress") {
@@ -216,8 +244,13 @@ fn every_corpus_file_round_trips_through_a_checkpoint_under_every_model() {
 
 /// Write a checkpoint for `src` under DRFrlx, let `tamper` edit it, and
 /// return the resume's output.
-fn resume_tampered(name: &str, src: &str, tamper: impl Fn(&str) -> String) -> Output {
-    let file = litmus_file(&format!("{name}.litmus"), src);
+fn resume_tampered(
+    dir: &ScratchDir,
+    name: &str,
+    src: &str,
+    tamper: impl Fn(&str) -> String,
+) -> Output {
+    let file = dir.litmus(&format!("{name}.litmus"), src);
     let path = file.to_str().unwrap();
     let ckpt = file.with_file_name(format!("{name}.ckpt.json"));
     let ckpt = ckpt.to_str().unwrap();
@@ -240,8 +273,9 @@ fn assert_rejected(out: &Output) {
 
 #[test]
 fn a_checkpoint_with_its_races_emptied_is_rejected() {
+    let dir = ScratchDir::new("a_checkpoint_with_its_races_emptied_is_rejected");
     let src = std::fs::read_to_string("litmus-tests/sb_relaxed.litmus").expect("corpus file");
-    let out = resume_tampered("sb_tampered", &src, |text| {
+    let out = resume_tampered(&dir, "sb_tampered", &src, |text| {
         // sb_relaxed finishes in the probe: one record, whose races
         // array runs to the end of the document.
         let start = text.find("\"races\":[").expect("races array") + "\"races\":[".len();
@@ -252,7 +286,8 @@ fn a_checkpoint_with_its_races_emptied_is_rejected() {
 
 #[test]
 fn a_checkpoint_missing_one_shard_record_is_rejected() {
-    let out = resume_tampered("wide_tampered", WIDE, |text| {
+    let dir = ScratchDir::new("a_checkpoint_missing_one_shard_record_is_rejected");
+    let out = resume_tampered(&dir, "wide_tampered", WIDE, |text| {
         let records: Vec<usize> = text.match_indices("{\"index\":").map(|(i, _)| i).collect();
         assert!(records.len() > 2, "the wide program shards");
         format!("{}{}", &text[..records[1]], &text[records[2]..])
@@ -264,7 +299,9 @@ fn a_checkpoint_missing_one_shard_record_is_rejected() {
 /// the same stdout whether or not a deadline is also set.
 #[test]
 fn a_budget_exhausted_run_prints_one_report_with_or_without_a_deadline() {
-    let wide = litmus_file("wide_budget.litmus", WIDE);
+    let dir =
+        ScratchDir::new("a_budget_exhausted_run_prints_one_report_with_or_without_a_deadline");
+    let wide = dir.litmus("wide_budget.litmus", WIDE);
     let seqlock = "litmus-tests/seqlock_counter_stress.litmus";
     let run = |file: &str, extra: &[&str]| {
         let args = [&["check", file, "--model", "drfrlx", "--threads", "1"][..], extra].concat();

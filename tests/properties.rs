@@ -61,14 +61,14 @@ fn build(threads: &[Vec<GenOp>]) -> Program {
         for op in ops {
             match op {
                 GenOp::Load(c, l) => {
-                    let r = t.load(*c, &format!("x{l}"));
+                    let r = t.load(*c, format!("x{l}"));
                     t.observe(r);
                 }
                 GenOp::Store(c, l, v) => {
-                    t.store(*c, &format!("x{l}"), *v);
+                    t.store(*c, format!("x{l}"), *v);
                 }
                 GenOp::Add(c, l, v) => {
-                    t.rmw(*c, &format!("x{l}"), RmwOp::FetchAdd, *v);
+                    t.rmw(*c, format!("x{l}"), RmwOp::FetchAdd, *v);
                 }
             }
         }
